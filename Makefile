@@ -6,8 +6,9 @@ GO ?= go
 # proof that the discipline holds. internal/wal and internal/fault ride
 # along too: logger goroutines, the group-commit path, and crash-freezing
 # registries are all cross-goroutine (docs/DURABILITY.md). internal/server
-# is session goroutines × worker loops × drain (docs/SERVER.md).
-RACE_PKGS = ./internal/core/... ./internal/clock/... ./internal/storage/... ./internal/telemetry/... ./internal/trace/... ./internal/wal/... ./internal/fault/... ./internal/server/...
+# is session goroutines × worker leases × drain (docs/SERVER.md), and
+# internal/client is what its tests drive it with.
+RACE_PKGS = ./internal/core/... ./internal/clock/... ./internal/storage/... ./internal/telemetry/... ./internal/trace/... ./internal/wal/... ./internal/fault/... ./internal/server/... ./internal/client/...
 
 .PHONY: all build test lint vet check race bench bench-smoke bench-compare bench-json skew-smoke telemetry-smoke trace-smoke server-smoke torture docs-lint clean
 
@@ -49,7 +50,7 @@ bench:
 # PR gate: allocation-budget tests plus a one-iteration benchmark compile/run
 # pass. Catches hot-path regressions without CI-length benchmark runs.
 bench-smoke:
-	$(GO) test -run 'AllocBudget|TestRepeated' $(BENCH_PKGS)
+	$(GO) test -run 'AllocBudget|ExecAllocs|TestRepeated' $(BENCH_PKGS) ./internal/server ./internal/client
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem $(BENCH_PKGS)
 
 # Scalability-regression gate (docs/PERFORMANCE.md): re-run the 2-thread

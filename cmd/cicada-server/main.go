@@ -38,7 +38,7 @@ func main() {
 		tenants   = flag.String("tenants", "default:kv", `tenant provisioning: "name:table1,table2;name2:table"`)
 
 		maxFrame    = flag.Int("max-frame", 0, "frame size bound in bytes (default 1 MiB)")
-		queueDepth  = flag.Int("queue-depth", 0, "submission queue depth (default 256)")
+		queueDepth  = flag.Int("queue-depth", 0, "sessions that may wait for a worker before txns are rejected as overload (default 256)")
 		txnAttempts = flag.Int("txn-attempts", 0, "per-txn conflict retry budget (default 8)")
 		maxSessions = flag.Int("max-sessions", 0, "per-tenant session quota (default 64)")
 		maxInflight = flag.Int("max-inflight", 0, "per-tenant in-flight txn quota (default 128)")

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cicada/internal/server/wire"
@@ -47,6 +48,13 @@ type Client struct {
 	maxFrame uint32
 	tables   []string
 	results  []wire.Result
+	hdr      [wire.FrameHeaderLen]byte // frame header scratch, request then response
+
+	// txn is the Txn that Txn and ReadOnlyTxn hand out while txnOut is
+	// clear; Exec returns it. Its body buffer is kept across uses, so
+	// building and executing a transaction allocates nothing.
+	txn    Txn
+	txnOut atomic.Bool
 }
 
 // Dial connects to addr and performs the hello handshake as tenant.
@@ -60,16 +68,20 @@ func DialTimeout(addr, tenant string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 1<<16),
-		bw:   bufio.NewWriterSize(conn, 1<<16),
-	}
+	c := newClient(conn)
 	if err := c.hello(tenant); err != nil {
 		conn.Close()
 		return nil, err
 	}
 	return c, nil
+}
+
+func newClient(conn net.Conn) *Client {
+	return &Client{
+		conn: conn,
+		br:   bufio.NewReaderSize(conn, 1<<16),
+		bw:   bufio.NewWriterSize(conn, 1<<16),
+	}
 }
 
 func (c *Client) hello(tenant string) error {
@@ -136,20 +148,31 @@ func (c *Client) Stats() (wire.Stats, error) {
 
 // Txn starts a batched transaction. Statements accumulate client-side and
 // ship as one frame on Exec; the server runs them as one serializable
-// transaction.
-func (c *Client) Txn() *Txn { return &Txn{c: c} }
+// transaction. A Txn is spent after Exec: start the next one with Txn.
+func (c *Client) Txn() *Txn { return c.newTxn(0) }
 
 // ReadOnlyTxn starts a batched read-only snapshot transaction (consistent,
 // never aborts; writes are rejected).
-func (c *Client) ReadOnlyTxn() *Txn { return &Txn{c: c, flags: wire.TxnReadOnly} }
+func (c *Client) ReadOnlyTxn() *Txn { return c.newTxn(wire.TxnReadOnly) }
 
-// Txn accumulates statements for one batched transaction.
+// newTxn hands out the client's recycled Txn, or a fresh one while that is
+// still outstanding (started and not yet executed).
+func (c *Client) newTxn(flags byte) *Txn {
+	if !c.txnOut.CompareAndSwap(false, true) {
+		return &Txn{c: c, flags: flags}
+	}
+	t := &c.txn
+	t.c, t.flags, t.n, t.body = c, flags, 0, t.body[:0]
+	return t
+}
+
+// Txn accumulates statements for one batched transaction. It must not be
+// used after Exec: the client recycles it for a later transaction.
 type Txn struct {
 	c     *Client
 	flags byte
 	n     int
 	body  []byte
-	err   error
 }
 
 // Get appends a point read of table[key].
@@ -178,15 +201,15 @@ func (t *Txn) Delete(table string, key uint64) *Txn {
 // valid until the client's next request. A *ServerError carries the wire
 // error code (including the abort taxonomy) on failure.
 func (t *Txn) Exec() ([]wire.Result, error) {
-	if t.err != nil {
-		return nil, t.err
+	c := t.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t == &c.txn {
+		defer c.txnOut.Store(false)
 	}
 	if t.n == 0 {
 		return nil, fmt.Errorf("client: empty transaction")
 	}
-	c := t.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	payload := wire.AppendTxnHeader(c.out[:0], t.flags, t.n)
 	payload = append(payload, t.body...)
 	c.out = payload[:0]
@@ -207,10 +230,10 @@ func (t *Txn) Exec() ([]wire.Result, error) {
 // roundTrip writes one request frame and reads one response frame,
 // translating err frames into *ServerError. Callers hold c.mu.
 func (c *Client) roundTrip(op wire.Opcode, payload []byte) (wire.Opcode, []byte, error) {
-	var hdr [wire.FrameHeaderLen]byte
+	hdr := c.hdr[:]
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
 	hdr[4] = byte(op)
-	if _, err := c.bw.Write(hdr[:]); err != nil {
+	if _, err := c.bw.Write(hdr); err != nil {
 		return 0, nil, err
 	}
 	if _, err := c.bw.Write(payload); err != nil {
@@ -223,8 +246,8 @@ func (c *Client) roundTrip(op wire.Opcode, payload []byte) (wire.Opcode, []byte,
 }
 
 func (c *Client) readFrame() (wire.Opcode, []byte, error) {
-	var hdr [wire.FrameHeaderLen]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	hdr := c.hdr[:]
+	if _, err := io.ReadFull(c.br, hdr); err != nil {
 		return 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:4])

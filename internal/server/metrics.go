@@ -9,13 +9,13 @@ import (
 // metrics holds the server_* instrumentation (docs/OBSERVABILITY.md
 // "Server metrics"). Two ownership regimes coexist:
 //
-//   - The session layer (one goroutine per connection direction, many of
-//     them) updates plain atomics; they are exposed to the registry through
-//     CounterFunc/GaugeFunc at scrape time. Worker-sharded counters would
-//     be wrong here — shards are single-writer by contract.
-//   - The worker loops (one goroutine per engine worker) own their shard of
-//     the sharded transaction counters and latency histogram, same as the
-//     engine's own hot-path counters.
+//   - Outside a worker lease a session (one goroutine per connection, many
+//     of them) updates plain atomics; they are exposed to the registry
+//     through CounterFunc/GaugeFunc at scrape time. Worker-sharded counters
+//     would be wrong here — shards are single-writer by contract.
+//   - Under a lease the session is the worker's only user, so it writes
+//     that worker's shard of the transaction counters and latency
+//     histogram, same as the engine's own hot-path counters.
 //
 // All atomic fields are always updated; registry registration happens only
 // when the DB was opened with Config.Telemetry, so a telemetry-less server
@@ -28,12 +28,20 @@ type metrics struct {
 	bytesIn         atomic.Uint64
 	bytesOut        atomic.Uint64
 	malformed       atomic.Uint64 // frames rejected as malformed/oversized
-	overloadRejects atomic.Uint64 // txns rejected because the queue was full
+	overloadRejects atomic.Uint64 // txns rejected because too many sessions waited for a lease
 
 	txnCommitted *telemetry.Counter   // nil without telemetry
 	txnAborted   *telemetry.Counter   // retry budget exhausted
 	txnError     *telemetry.Counter   // rejected or failed without aborting
-	txnLatency   *telemetry.Histogram // submit-to-response-staged, ns
+	txnLatency   *telemetry.Histogram // lease-acquired-to-response-staged, ns
+}
+
+// inc counts one transaction outcome on worker id's shard of c (nil without
+// telemetry); the caller holds that worker's lease.
+func inc(c *telemetry.Counter, id int) {
+	if c != nil {
+		c.Shard(id).Inc()
+	}
 }
 
 // register wires the server_* families onto the engine's registry so one
@@ -63,11 +71,11 @@ func (s *Server) register(r *telemetry.Registry) {
 		"Frames rejected as malformed or over the frame bound.",
 		func() float64 { return float64(m.malformed.Load()) })
 	r.CounterFunc("server_overload_rejections_total",
-		"Transactions rejected with the overload code because the submission queue was full.",
+		"Transactions rejected with the overload code because QueueDepth sessions were already waiting for a worker lease.",
 		func() float64 { return float64(m.overloadRejects.Load()) })
 	r.GaugeFunc("server_queue_depth",
-		"Transactions waiting in the submission queue.",
-		func() float64 { return float64(len(s.reqCh)) })
+		"Sessions waiting for a worker lease.",
+		func() float64 { return float64(s.waiters.Load()) })
 	r.GaugeFunc("server_draining",
 		"1 while the server is draining for shutdown, else 0.",
 		func() float64 {
@@ -87,7 +95,7 @@ func (s *Server) register(r *telemetry.Registry) {
 		"Transactions executed by the server, by outcome.",
 		telemetry.Label{Key: "status", Value: "error"})
 	m.txnLatency = r.Histogram("server_txn_latency_ns",
-		"Transaction latency from worker pickup to response staged, in nanoseconds.")
+		"Transaction latency from worker lease acquired to response staged, in nanoseconds.")
 
 	for _, ten := range s.tenants {
 		ten := ten

@@ -4,15 +4,16 @@
 // docs/SERVER.md describes the architecture; docs/PROTOCOL.md the wire
 // format.
 //
-// The runtime shape follows the engine's own threading discipline. Each
-// connection gets two goroutines that only move bytes (a reader that frames
-// requests into pooled chunks and a writer that streams staged response
-// chains back); transactions execute exclusively on the fixed worker
-// loops, one per engine worker, fed from one bounded submission queue.
-// No goroutine is ever spawned per request, and the response encode path
-// stages frames directly on internal/buf chunks — zero allocations per
-// response at steady state (pinned by TestEncodeRespAllocs in the wire
-// package and the hotpathalloc gate).
+// The runtime shape follows the engine's own threading discipline
+// (PAPER.md §3.1): a transaction runs to completion on one thread with no
+// hand-off. Each connection is one goroutine that reads a frame, leases an
+// engine worker for exactly the execution of the transaction, stages the
+// response into its own internal/buf chunk chain, releases the lease and
+// writes the socket itself. The executor set stays the engine's fixed
+// DB.Worker(0..N-1): a lease is that worker's mutex, so each worker still
+// has one user at a time. The server allocates nothing per request at
+// steady state (pinned by TestServerRoundTripAllocBudget, whose budget of
+// one is the public Worker.Run* API's own, and by the hotpathalloc gate).
 package server
 
 import (
@@ -40,8 +41,9 @@ type Config struct {
 	// MaxFrame bounds a request frame (opcode + payload) and is advertised
 	// in the hello response. 0 selects wire.DefaultMaxFrame.
 	MaxFrame int
-	// QueueDepth bounds the shared submission queue; a full queue rejects
-	// txns with the overload code. 0 selects DefaultQueueDepth.
+	// QueueDepth bounds the sessions that may wait for a worker lease; a
+	// txn arriving when that many already wait is rejected with the
+	// overload code. 0 selects DefaultQueueDepth.
 	QueueDepth int
 	// TxnAttempts is the per-transaction conflict-retry budget; an aborted
 	// transaction that exhausts it returns its abort reason as a wire
@@ -54,32 +56,27 @@ const (
 	DefaultQueueDepth  = 256
 	DefaultTxnAttempts = 8
 
-	// idleMaintainEvery is how often an idle worker loop runs engine
-	// maintenance so the GC horizon keeps advancing while no requests
-	// flow (the engine's quiescence protocol needs every worker to keep
-	// declaring its clock).
+	// idleMaintainEvery is how often the maintenance goroutine runs engine
+	// maintenance on every worker no session holds, so the GC horizon keeps
+	// advancing while no requests flow (the engine's quiescence protocol
+	// needs every worker to keep declaring its clock).
 	idleMaintainEvery = 200 * time.Microsecond
 	// writeTimeout bounds one response write so a stalled client cannot
-	// wedge a session writer (the chain is dropped and the session marked
-	// dead instead).
+	// hold a session forever (the session is closed instead). The worker
+	// lease is released before the write, so a stalled client never holds
+	// a worker.
 	writeTimeout = 30 * time.Second
 )
 
-// task is one admitted transaction traveling from a session reader to a
-// worker loop. The payload chunk is owned by the worker until it stages a
-// response (decoded statements alias it).
-type task struct {
-	sess    *session
-	ten     *tenant
-	seq     uint64
-	payload *buf.Chunk
-}
-
-// workerScratch is one worker loop's reusable decode state, indexed by
-// worker ID and touched only by that loop.
-type workerScratch struct {
-	stmts []wire.Stmt
-	tabs  []*tenantTable
+// lease is one engine worker and the lock that makes a session its only
+// user: the holder may call into w, and the lock's happens-before edge is
+// what the worker's single-writer state (telemetry shards, WAL stage chain,
+// thread-local clock) relies on. Padded so neighbouring leases do not share
+// a cache line.
+type lease struct {
+	mu sync.Mutex
+	w  *cicada.Worker
+	_  [48]byte
 }
 
 // Server multiplexes client sessions onto the engine's worker set.
@@ -87,27 +84,28 @@ type Server struct {
 	db          *cicada.DB
 	pool        *buf.Pool
 	tenants     map[string]*tenant
-	reqCh       chan task
-	stopCh      chan struct{}
-	stopOnce    sync.Once
-	workersWG   sync.WaitGroup
+	leases      []lease // one per engine worker, indexed by worker ID
+	queueDepth  int32
+	stopCh      chan struct{} // closed to stop the maintenance goroutine
+	maintDone   chan struct{}
 	sessWG      sync.WaitGroup
 	maxFrame    int
 	txnAttempts int
-	scratch     []workerScratch
 	m           *metrics
 
 	draining atomic.Bool
-	inflight atomic.Int64 // admitted txns whose response is not yet written
+	inflight atomic.Int64  // admitted txns whose response is not yet written
+	waiters  atomic.Int32  // sessions blocked waiting for a lease
+	nextHome atomic.Uint32 // sessions started; spreads their home workers round-robin
 
 	mu     sync.Mutex
 	ln     net.Listener
 	conns  map[net.Conn]struct{}
 	closed bool
 
-	// testGate, when set (tests only), is called by a worker loop before
-	// executing each transaction; blocking it holds transactions in flight
-	// deterministically for quota and drain tests.
+	// testGate, when set (tests only), is called under the worker lease
+	// before each transaction executes; blocking it holds transactions in
+	// flight deterministically for quota and drain tests.
 	testGate func()
 }
 
@@ -126,21 +124,22 @@ func New(cfg Config) (*Server, error) {
 		db:          cfg.DB,
 		pool:        buf.NewPool(0, 0),
 		tenants:     tenants,
-		reqCh:       make(chan task, valOr(cfg.QueueDepth, DefaultQueueDepth)),
+		leases:      make([]lease, cfg.DB.Workers()),
+		queueDepth:  int32(valOr(cfg.QueueDepth, DefaultQueueDepth)),
 		stopCh:      make(chan struct{}),
+		maintDone:   make(chan struct{}),
 		maxFrame:    valOr(cfg.MaxFrame, wire.DefaultMaxFrame),
 		txnAttempts: valOr(cfg.TxnAttempts, DefaultTxnAttempts),
-		scratch:     make([]workerScratch, cfg.DB.Workers()),
 		conns:       make(map[net.Conn]struct{}),
 		m:           &metrics{},
+	}
+	for id := range s.leases {
+		s.leases[id].w = cfg.DB.Worker(id)
 	}
 	if reg := cfg.DB.Telemetry(); reg != nil {
 		s.register(reg)
 	}
-	s.workersWG.Add(s.db.Workers())
-	for id := 0; id < s.db.Workers(); id++ {
-		go s.workerLoop(id)
-	}
+	go s.maintainLoop()
 	return s, nil
 }
 
@@ -164,33 +163,41 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		s.mu.Lock()
-		if s.closed || s.draining.Load() {
-			s.mu.Unlock()
-			c.Close()
-			continue
-		}
-		s.conns[c] = struct{}{}
-		s.mu.Unlock()
-		s.m.sessionsTotal.Add(1)
-		s.m.sessionsActive.Add(1)
-		s.sessWG.Add(1)
-		go func(c net.Conn) {
-			defer s.sessWG.Done()
-			newSession(s, c).run()
-			s.m.sessionsActive.Add(-1)
-			s.mu.Lock()
-			delete(s.conns, c)
-			s.mu.Unlock()
-		}(c)
+		s.startSession(c)
 	}
 }
 
+// startSession runs a session for c on its own goroutine, unless the
+// server is shutting down (c is then closed).
+func (s *Server) startSession(c net.Conn) {
+	s.mu.Lock()
+	if s.closed || s.draining.Load() {
+		s.mu.Unlock()
+		c.Close()
+		return
+	}
+	s.conns[c] = struct{}{}
+	s.sessWG.Add(1)
+	s.mu.Unlock()
+	s.m.sessionsTotal.Add(1)
+	s.m.sessionsActive.Add(1)
+	go func() {
+		defer s.sessWG.Done()
+		newSession(s, c).run()
+		s.m.sessionsActive.Add(-1)
+		s.mu.Lock()
+		delete(s.conns, c)
+		s.mu.Unlock()
+	}()
+}
+
 // Drain gracefully shuts the server down: stop accepting, let every
-// admitted transaction finish and its response flush, then stop the worker
-// loops and close remaining sessions. It returns ctx.Err() if the context
-// expires first (remaining work is then force-closed), else nil.
+// admitted transaction finish and its response flush, then stop the
+// maintenance goroutine and close remaining sessions. It returns ctx.Err()
+// if the context expires first (remaining work is then force-closed), else
+// nil.
 func (s *Server) Drain(ctx context.Context) error {
+	// Phase 1: reject new transactions and connections.
 	s.draining.Store(true)
 	s.mu.Lock()
 	ln := s.ln
@@ -204,46 +211,26 @@ func (s *Server) Drain(ctx context.Context) error {
 		ln.Close()
 	}
 
-	// Phase 1: wait for the in-flight count to hit zero. Every admitted
+	// Phase 2: wait for the in-flight count to hit zero. Every admitted
 	// txn holds a reference until its response is written (or its session
-	// dies), so zero means all accepted work is answered.
+	// dies), and a session takes its reference before it checks the
+	// draining flag, so zero means all accepted work is answered.
 	var drainErr error
-	for s.inflight.Load() > 0 {
+	for s.inflight.Load() > 0 && drainErr == nil {
 		select {
 		case <-ctx.Done():
 			drainErr = ctx.Err()
 		case <-time.After(500 * time.Microsecond):
 		}
-		if drainErr != nil {
-			break
-		}
 	}
 
-	// Phase 2: stop the worker loops (each drains the queue once more
-	// before exiting, so nothing admitted is stranded).
-	s.stopOnce.Do(func() { close(s.stopCh) })
-	s.workersWG.Wait()
-
-	// Phase 3: reap any straggler the workers never picked up (possible
-	// only when the context expired early): answer it with the draining
-	// code so its session can finish its bookkeeping.
-	var bw buf.Writer
-	bw.Init(s.pool)
-	for {
-		select {
-		case t := <-s.reqCh:
-			t.payload.Release()
-			wire.EncodeErr(&bw, wire.ErrCodeDraining, "server draining")
-			head, _, _ := bw.Detach()
-			t.reply(head, false)
-		default:
-			goto reaped
-		}
-	}
-reaped:
+	// Phase 3: stop idle maintenance.
+	close(s.stopCh)
+	<-s.maintDone
 
 	// Phase 4: close every remaining connection; session goroutines
-	// unblock from reads/writes and exit.
+	// unblock from reads/writes and exit (one still executing finishes its
+	// transaction first, then fails its write).
 	s.mu.Lock()
 	for c := range s.conns {
 		c.Close()
@@ -253,8 +240,9 @@ reaped:
 	return drainErr
 }
 
-// Close shuts down immediately: in-flight work is abandoned (workers still
-// finish the transaction they are on) and connections are force-closed.
+// Close shuts down immediately: in-flight work is abandoned (a session
+// still finishes the transaction it is executing) and connections are
+// force-closed.
 func (s *Server) Close() error {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -262,31 +250,45 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// workerLoop is worker id's execution loop: it owns the engine worker
-// handle and a staging writer, executes queued transactions, and runs
-// engine maintenance while idle.
-func (s *Server) workerLoop(id int) {
-	defer s.workersWG.Done()
-	w := s.db.Worker(id)
-	var bw buf.Writer
-	bw.Init(s.pool)
+// acquire leases an engine worker for one transaction: the first free one
+// starting from home, else it waits for home. It returns nil, holding
+// nothing, when QueueDepth sessions are already waiting. The lease is a
+// mutex rather than a channel of free workers because a collision is
+// usually over within a transaction's few microseconds: Mutex.Lock spins
+// before it parks, a channel receive parks at once.
+func (s *Server) acquire(home int) *lease {
+	for i := range s.leases {
+		if l := &s.leases[(home+i)%len(s.leases)]; l.mu.TryLock() {
+			return l
+		}
+	}
+	if s.waiters.Add(1) > s.queueDepth {
+		s.waiters.Add(-1)
+		return nil
+	}
+	l := &s.leases[home]
+	l.mu.Lock()
+	s.waiters.Add(-1)
+	return l
+}
+
+// maintainLoop runs engine maintenance on every worker that is not leased,
+// once per idleMaintainEvery, until Drain stops it.
+func (s *Server) maintainLoop() {
+	defer close(s.maintDone)
 	tick := time.NewTicker(idleMaintainEvery)
 	defer tick.Stop()
 	for {
 		select {
-		case t := <-s.reqCh:
-			s.execTxn(w, id, &bw, t)
 		case <-tick.C:
-			w.Idle()
-		case <-s.stopCh:
-			for {
-				select {
-				case t := <-s.reqCh:
-					s.execTxn(w, id, &bw, t)
-				default:
-					return
+			for i := range s.leases {
+				if l := &s.leases[i]; l.mu.TryLock() {
+					l.w.Idle()
+					l.mu.Unlock()
 				}
 			}
+		case <-s.stopCh:
+			return
 		}
 	}
 }
@@ -298,96 +300,6 @@ func releaseChain(head *buf.Chunk) {
 		c.Release()
 		c = n
 	}
-}
-
-// execTxn decodes, executes, and answers one transaction on worker id. It
-// owns t.payload and releases it once the response is staged.
-func (s *Server) execTxn(w *cicada.Worker, id int, bw *buf.Writer, t task) {
-	defer t.payload.Release()
-	if s.testGate != nil {
-		s.testGate()
-	}
-	start := time.Now()
-	sc := &s.scratch[id]
-
-	flags, stmts, err := wire.DecodeTxn(t.payload.Bytes(), sc.stmts[:0])
-	sc.stmts = stmts[:0]
-	if err != nil {
-		s.m.malformed.Add(1)
-		s.replyErr(bw, t, wire.ErrCodeMalformed, "bad txn payload", id)
-		return
-	}
-
-	// Resolve every statement's table in the tenant namespace up front
-	// (the set is static, so one failed lookup fails the whole txn before
-	// any engine work).
-	tabs := sc.tabs[:0]
-	readOnly := flags&wire.TxnReadOnly != 0
-	for i := range stmts {
-		st := &stmts[i]
-		if readOnly && st.Kind != wire.StGet {
-			s.replyErr(bw, t, wire.ErrCodeReadOnly, "write in read-only txn", id)
-			return
-		}
-		tt := t.ten.tables[string(st.Table)]
-		if tt == nil {
-			s.replyErr(bw, t, wire.ErrCodeNoTable, "unknown table", id)
-			return
-		}
-		tabs = append(tabs, tt)
-	}
-	sc.tabs = tabs[:0]
-
-	// The closure may run multiple times (conflict retries); each attempt
-	// restarts the staged result frame from scratch.
-	var patch wire.FramePatch
-	run := func(tx *cicada.Txn) error {
-		if head, _, _ := bw.Detach(); head != nil {
-			releaseChain(head)
-		}
-		patch = wire.BeginFrame(bw, wire.OpResult)
-		wire.AppendResultCount(bw, len(stmts))
-		for i := range stmts {
-			if err := execStmt(tx, bw, &stmts[i], tabs[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	if readOnly {
-		err = w.RunReadOnly(run)
-	} else {
-		err = w.RunLimited(run, s.txnAttempts)
-	}
-	t.ten.txns.Add(1)
-	if s.m.txnLatency != nil {
-		s.m.txnLatency.Shard(id).ObserveDuration(time.Since(start))
-	}
-	if err != nil {
-		// Drop the partially staged attempt before answering.
-		if head, _, _ := bw.Detach(); head != nil {
-			releaseChain(head)
-		}
-		code, msg := classify(err)
-		if s.m.txnAborted != nil {
-			if code >= wire.ErrCodeAbortRTSEarly {
-				s.m.txnAborted.Shard(id).Inc()
-			} else {
-				s.m.txnError.Shard(id).Inc()
-			}
-		}
-		wire.EncodeErr(bw, code, msg)
-		head, _, _ := bw.Detach()
-		t.reply(head, false)
-		return
-	}
-	if s.m.txnCommitted != nil {
-		s.m.txnCommitted.Shard(id).Inc()
-	}
-	patch.Finish(bw)
-	head, _, _ := bw.Detach()
-	t.reply(head, false)
 }
 
 // execStmt runs one statement inside tx, staging its result.
@@ -465,15 +377,4 @@ func classify(err error) (wire.ErrCode, string) {
 	default:
 		return wire.ErrCodeInternal, "internal error"
 	}
-}
-
-// replyErr stages an error frame on the worker's writer and answers t.
-func (s *Server) replyErr(bw *buf.Writer, t task, code wire.ErrCode, msg string, id int) {
-	if s.m.txnError != nil {
-		s.m.txnError.Shard(id).Inc()
-	}
-	t.ten.txns.Add(1)
-	wire.EncodeErr(bw, code, msg)
-	head, _, _ := bw.Detach()
-	t.reply(head, false)
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,9 +20,8 @@ import (
 // address. Callers customize quotas via mut before the server starts.
 func testServer(t *testing.T, mut func(*Config)) (*Server, string) {
 	t.Helper()
-	db := cicada.Open(cicada.Config{Workers: 2, Inlining: true, FixedMaxBackoff: -1, Telemetry: true})
 	cfg := Config{
-		DB: db,
+		DB: openDB(2),
 		Tenants: []TenantConfig{
 			{Name: "acme", Tables: []string{"accounts", "audit"}},
 			{Name: "globex", Tables: []string{"accounts"}},
@@ -39,8 +39,40 @@ func testServer(t *testing.T, mut func(*Config)) (*Server, string) {
 		t.Fatalf("listen: %v", err)
 	}
 	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(func() {
+		srv.Close()
+		if n := srv.pool.Live(); n != 0 {
+			t.Errorf("%d pooled chunks still held after shutdown", n)
+		}
+	})
 	return srv, ln.Addr().String()
+}
+
+func openDB(workers int) *cicada.DB {
+	return cicada.Open(cicada.Config{Workers: workers, Inlining: true, FixedMaxBackoff: -1, Telemetry: true})
+}
+
+// dial opens a client that is closed when the test ends.
+func dial(t *testing.T, addr, tenant string) *client.Client {
+	t.Helper()
+	c, err := client.Dial(addr, tenant)
+	if err != nil {
+		t.Fatalf("Dial %s: %v", tenant, err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// holdGate makes every transaction report on arrived and then block, under
+// its worker lease, until release is called (at the latest when the test
+// ends, so a failed test cannot wedge the server's shutdown).
+func holdGate(t *testing.T, srv *Server) (arrived <-chan struct{}, release func()) {
+	gate, ch := make(chan struct{}), make(chan struct{}, 16)
+	srv.testGate = func() { ch <- struct{}{}; <-gate }
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	return ch, release
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -227,7 +259,7 @@ func TestNoHelloAndUnknownOp(t *testing.T) {
 }
 
 func TestMalformedFrameClosesConnection(t *testing.T) {
-	srv, addr := testServer(t, func(c *Config) { c.MaxFrame = 1 << 12 })
+	_, addr := testServer(t, func(c *Config) { c.MaxFrame = 1 << 12 })
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -248,56 +280,40 @@ func TestMalformedFrameClosesConnection(t *testing.T) {
 	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("connection not closed: %v", err)
 	}
-	// No pooled chunks may leak from the rejected frame.
-	waitFor(t, "chunks released", func() bool { return srv.pool.Live() == 0 })
 }
 
 func TestInflightQuotaRejection(t *testing.T) {
-	gate := make(chan struct{})
-	arrived := make(chan struct{}, 16)
-	var srv *Server
 	srv, addr := testServer(t, func(c *Config) {
 		c.Tenants = []TenantConfig{{Name: "acme", Tables: []string{"accounts"}, MaxInflight: 2}}
 	})
-	srv.testGate = func() { arrived <- struct{}{}; <-gate }
+	arrived, release := holdGate(t, srv)
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(wire.AppendFrame(nil, wire.OpHello, wire.AppendHello(nil, "acme"))); err != nil {
-		t.Fatalf("hello: %v", err)
-	}
-	if op, _ := readFrame(t, conn); op != wire.OpOK {
-		t.Fatal("hello failed")
-	}
-
-	// Pipeline three txns without reading responses. With MaxInflight=2 and
-	// the workers gated, the third must be rejected with the quota code.
-	txn := wire.AppendTxnHeader(nil, 0, 1)
-	txn = wire.AppendPut(txn, "accounts", 1, []byte("v"))
-	raw := wire.AppendFrame(nil, wire.OpTxn, txn)
-	for i := 0; i < 3; i++ {
-		if _, err := conn.Write(raw); err != nil {
-			t.Fatalf("txn %d: %v", i, err)
-		}
-	}
-	ten := srv.tenants["acme"]
-	waitFor(t, "quota rejection", func() bool { return ten.quotaRejects.Load() == 1 })
-	close(gate)
-
-	// Responses arrive in request order: result, result, quota error.
+	// A session has at most one transaction in flight, so the quota is
+	// reached by sessions: hold MaxInflight of them under their leases.
+	held := make(chan error, 2)
 	for i := 0; i < 2; i++ {
-		if op, _ := readFrame(t, conn); op != wire.OpResult {
-			t.Fatalf("response %d = %v", i, op)
+		c := dial(t, addr, "acme")
+		go func(key uint64) {
+			_, err := c.Txn().Put("accounts", key, []byte("v")).Exec()
+			held <- err
+		}(uint64(i))
+	}
+	<-arrived
+	<-arrived
+
+	// The next session's txn is shed at the socket with the quota code.
+	if _, err := dial(t, addr, "acme").Txn().Put("accounts", 9, []byte("v")).Exec(); !client.IsCode(err, wire.ErrCodeQuota) {
+		t.Fatalf("third session err = %v, want quota", err)
+	}
+	if n := srv.tenants["acme"].quotaRejects.Load(); n != 1 {
+		t.Fatalf("quota rejections = %d", n)
+	}
+	release()
+	for i := 0; i < 2; i++ {
+		if err := <-held; err != nil {
+			t.Fatalf("held txn: %v", err)
 		}
 	}
-	if code := readErrFrame(t, conn); code != wire.ErrCodeQuota {
-		t.Fatalf("code = %v", code)
-	}
-	<-arrived
-	<-arrived
 }
 
 func TestSessionQuotaRejection(t *testing.T) {
@@ -325,72 +341,52 @@ func TestSessionQuotaRejection(t *testing.T) {
 }
 
 func TestOverloadRejection(t *testing.T) {
-	gate := make(chan struct{})
-	arrived := make(chan struct{}, 16)
-	var srv *Server
-	srv, addr := testServer(t, func(c *Config) {
-		c.QueueDepth = 1
-		c.Tenants = []TenantConfig{{Name: "acme", Tables: []string{"accounts"}, MaxInflight: 100}}
-	})
-	srv.testGate = func() { arrived <- struct{}{}; <-gate }
+	srv, addr := testServer(t, func(c *Config) { c.QueueDepth = 1 })
+	arrived, release := holdGate(t, srv)
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+	// Hold every lease in the gate, then park QueueDepth more sessions
+	// waiting for one.
+	done := make(chan error, 3)
+	submit := func(key uint64) {
+		c := dial(t, addr, "acme")
+		go func() {
+			_, err := c.Txn().Put("accounts", key, []byte("v")).Exec()
+			done <- err
+		}()
 	}
-	defer conn.Close()
-	if _, err := conn.Write(wire.AppendFrame(nil, wire.OpHello, wire.AppendHello(nil, "acme"))); err != nil {
-		t.Fatalf("hello: %v", err)
-	}
-	if op, _ := readFrame(t, conn); op != wire.OpOK {
-		t.Fatal("hello failed")
-	}
-
-	txn := wire.AppendTxnHeader(nil, 0, 1)
-	txn = wire.AppendPut(txn, "accounts", 1, []byte("v"))
-	raw := wire.AppendFrame(nil, wire.OpTxn, txn)
-
-	// Fill both workers, wait until they are gated, then fill the
-	// depth-1 queue; the next submission must overflow.
-	for i := 0; i < 2; i++ {
-		if _, err := conn.Write(raw); err != nil {
-			t.Fatalf("txn: %v", err)
-		}
-	}
+	submit(1)
+	submit(2)
 	<-arrived
 	<-arrived
-	for i := 0; i < 2; i++ {
-		if _, err := conn.Write(raw); err != nil {
-			t.Fatalf("txn: %v", err)
-		}
-	}
-	waitFor(t, "overload rejection", func() bool { return srv.m.overloadRejects.Load() == 1 })
-	close(gate)
+	submit(3)
+	waitFor(t, "a session waiting for a lease", func() bool { return srv.waiters.Load() == 1 })
 
+	// The next session overflows without touching a worker.
+	if _, err := dial(t, addr, "acme").Txn().Put("accounts", 4, []byte("v")).Exec(); !client.IsCode(err, wire.ErrCodeOverload) {
+		t.Fatalf("err = %v, want overload", err)
+	}
+	if n := srv.m.overloadRejects.Load(); n != 1 {
+		t.Fatalf("overload rejections = %d", n)
+	}
+	select {
+	case <-arrived:
+		t.Fatal("rejected txn reached a worker")
+	default:
+	}
+	release()
 	for i := 0; i < 3; i++ {
-		if op, _ := readFrame(t, conn); op != wire.OpResult {
-			t.Fatalf("response %d = %v", i, op)
+		if err := <-done; err != nil {
+			t.Fatalf("held txn: %v", err)
 		}
-	}
-	if code := readErrFrame(t, conn); code != wire.ErrCodeOverload {
-		t.Fatalf("code = %v", code)
 	}
 }
 
 func TestGracefulDrain(t *testing.T) {
-	gate := make(chan struct{})
-	arrived := make(chan struct{}, 16)
-	var srv *Server
 	srv, addr := testServer(t, nil)
-	srv.testGate = func() { arrived <- struct{}{}; <-gate }
+	arrived, release := holdGate(t, srv)
+	c := dial(t, addr, "acme")
 
-	c, err := client.Dial(addr, "acme")
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer c.Close()
-
-	// Hold one txn in flight on a worker, then start draining.
+	// Hold one txn in flight under a lease, then start draining.
 	type execResult struct {
 		res []wire.Result
 		err error
@@ -408,8 +404,7 @@ func TestGracefulDrain(t *testing.T) {
 	go func() { drainDone <- srv.Drain(ctx) }()
 	waitFor(t, "draining flag", func() bool { return srv.draining.Load() })
 
-	// While draining: new connections are refused and new txns on live
-	// sessions get the draining code.
+	// While draining, new connections are refused.
 	waitFor(t, "listener closed", func() bool {
 		c2, err := client.Dial(addr, "acme")
 		if err != nil {
@@ -418,11 +413,6 @@ func TestGracefulDrain(t *testing.T) {
 		c2.Close()
 		return false
 	})
-	c2, err := client.Dial(addr, "acme")
-	if err == nil {
-		c2.Close()
-		t.Fatal("dial succeeded while draining")
-	}
 
 	// Drain must not finish while the txn is still in flight.
 	select {
@@ -431,41 +421,36 @@ func TestGracefulDrain(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	// Release the worker: the in-flight txn completes, its response is
-	// flushed to the client, and drain finishes cleanly.
-	close(gate)
-	r := <-execDone
-	if r.err != nil {
-		t.Fatalf("in-flight txn failed during drain: %v", r.err)
-	}
-	if len(r.res) != 2 || string(r.res[1].Value) != "survivor" {
-		t.Fatalf("in-flight results = %+v", r.res)
-	}
+	// Release the lease holder: the in-flight txn commits and its response
+	// reaches the client before Drain returns.
+	release()
 	if err := <-drainDone; err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	waitFor(t, "chunks released", func() bool { return srv.pool.Live() == 0 })
+	select {
+	case r := <-execDone:
+		if r.err != nil {
+			t.Fatalf("in-flight txn failed during drain: %v", r.err)
+		}
+		if len(r.res) != 2 || string(r.res[1].Value) != "survivor" {
+			t.Fatalf("in-flight results = %+v", r.res)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Drain returned before the in-flight txn was answered")
+	}
 }
 
 func TestDrainRejectsNewTxns(t *testing.T) {
-	gate := make(chan struct{})
-	arrived := make(chan struct{}, 16)
-	var srv *Server
 	srv, addr := testServer(t, nil)
-	srv.testGate = func() { arrived <- struct{}{}; <-gate }
+	arrived, release := holdGate(t, srv)
+	blocker := dial(t, addr, "acme")
+	other := dial(t, addr, "globex")
 
-	blocker, err := client.Dial(addr, "acme")
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer blocker.Close()
-	other, err := client.Dial(addr, "globex")
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer other.Close()
-
-	go blocker.Txn().Put("accounts", 1, []byte("x")).Exec()
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := blocker.Txn().Put("accounts", 1, []byte("x")).Exec()
+		blocked <- err
+	}()
 	<-arrived
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -474,12 +459,79 @@ func TestDrainRejectsNewTxns(t *testing.T) {
 	go func() { drainDone <- srv.Drain(ctx) }()
 	waitFor(t, "draining flag", func() bool { return srv.draining.Load() })
 
+	// A new txn on a live session gets the draining code ...
 	if _, err := other.Txn().Put("accounts", 1, []byte("y")).Exec(); !client.IsCode(err, wire.ErrCodeDraining) {
 		t.Fatalf("draining err = %v", err)
 	}
-	close(gate)
+	// ... while the one already under a lease commits and is answered.
+	release()
 	if err := <-drainDone; err != nil {
 		t.Fatalf("Drain: %v", err)
+	}
+	if err := <-blocked; err != nil {
+		t.Fatalf("held txn: %v", err)
+	}
+}
+
+// TestStalledPeer: a peer that sends transactions and never reads its
+// responses blocks only its own session's write. It must not hold the
+// (single) worker, and Close must reap it.
+func TestStalledPeer(t *testing.T) {
+	peer, srvEnd := net.Pipe()         // unbuffered: the session's write blocks at once
+	t.Cleanup(func() { peer.Close() }) // after the server's own cleanup, so only Close can unblock the session
+	srv, addr := testServer(t, func(c *Config) { c.DB = openDB(1) })
+	srv.startSession(srvEnd)
+	if _, err := peer.Write(wire.AppendFrame(nil, wire.OpHello, wire.AppendHello(nil, "acme"))); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	if op, _ := readFrame(t, peer); op != wire.OpOK {
+		t.Fatal("hello failed")
+	}
+	txn := wire.AppendPut(wire.AppendTxnHeader(nil, 0, 1), "accounts", 1, []byte("v"))
+	raw := wire.AppendFrame(nil, wire.OpTxn, txn)
+	if _, err := peer.Write(append(append(raw, raw...), raw...)); err != nil {
+		t.Fatalf("pipelined txns: %v", err)
+	}
+	waitFor(t, "first response stuck in the write", func() bool {
+		return srv.db.Stats().Commits >= 1 && srv.inflight.Load() == 1
+	})
+
+	c := dial(t, addr, "acme")
+	for i := 0; i < 1000; i++ {
+		if _, err := c.Txn().Put("accounts", 2, []byte{byte(i)}).Get("accounts", 1).Exec(); err != nil {
+			t.Fatalf("txn %d behind a stalled peer: %v", i, err)
+		}
+	}
+	waitFor(t, "only the stalled txn in flight", func() bool { return srv.inflight.Load() == 1 })
+	// testServer's cleanup closes the server: it hangs here if the stalled
+	// session cannot be reaped, and fails if the session leaks a chunk.
+}
+
+// TestServerRoundTripAllocBudget pins the whole TCP rung — client build,
+// both socket directions, admission, lease, execution, response encode —
+// at the public API's one allocation per transaction (the &Txn{} wrapper in
+// cicada.Worker.Run*), counted process-wide.
+func TestServerRoundTripAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; budgets enforced in non-race builds")
+	}
+	_, addr := testServer(t, nil)
+	c := dial(t, addr, "acme")
+	val := make([]byte, 64)
+	roundTrip := func() {
+		res, err := c.Txn().
+			Put("accounts", 1, val).Get("accounts", 2).
+			Put("accounts", 2, val).Get("accounts", 1).
+			Exec()
+		if err != nil || len(res) != 4 {
+			t.Fatalf("txn: %v (%d results)", err, len(res))
+		}
+	}
+	for i := 0; i < 100; i++ { // inserts, buffer growth, pool fill
+		roundTrip()
+	}
+	if got := testing.AllocsPerRun(2000, roundTrip); got > 1 {
+		t.Fatalf("server round trip allocates %.1f/txn, budget 1", got)
 	}
 }
 
@@ -561,7 +613,6 @@ func TestConcurrentClients(t *testing.T) {
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	waitFor(t, "chunks released", func() bool { return srv.pool.Live() == 0 })
 	if n := srv.m.sessionsActive.Load(); n != 0 {
 		t.Fatalf("sessions still active after drain: %d", n)
 	}

@@ -4,309 +4,313 @@ import (
 	"bufio"
 	"errors"
 	"io"
-	"sync"
 	"time"
 
+	"cicada"
 	"cicada/internal/buf"
 	"cicada/internal/server/wire"
 )
 
-// respond is one finished response traveling to a session's writer: the
-// staged frame chain plus the request's sequence number (the writer
-// restores request order, since txns complete on whichever worker picked
-// them up).
-type respond struct {
-	seq  uint64
-	head *buf.Chunk
-	ten  *tenant // non-nil for admitted txns: dec inflight after writing
-	// fatal closes the connection after this response is written
-	// (protocol violations where framing may be out of sync).
-	fatal bool
-}
-
-// session is one client connection: a reader goroutine that frames
-// requests (and answers handshake/admission traffic directly), plus a
-// writer goroutine that streams responses back in request order. Neither
-// executes transactions — that happens on the worker loops.
+// session is one client connection and the one goroutine that does
+// everything for it: frame a request, answer it (handshake and admission
+// traffic directly, a transaction by executing it inline under a worker
+// lease), write the response, repeat. Responses are in request order
+// because one goroutine produces them.
 //
-// Shutdown protocol: the reader exits (connection error or fatal frame),
-// waits for every outstanding worker task, closes doneCh; the writer
-// drains doneCh to the end — even with a dead connection it keeps
-// receiving and releasing chains, so workers never block on a send
-// forever.
+// The fields below enc are the per-session execution state of the
+// transaction in progress; attempt reads them, so no closure is built per
+// transaction.
 type session struct {
-	srv    *Server
-	conn   netConn
-	ten    *tenant
-	doneCh chan respond
-	taskWG sync.WaitGroup
-	enc    buf.Writer // reader-owned staging for direct responses
-	seq    uint64     // reader-owned; one per request frame
+	srv  *Server
+	conn netConn
+	ten  *tenant
+	home int                       // worker whose lease this session tries first
+	hdr  [wire.FrameHeaderLen]byte // ReadFrame scratch
+	enc  buf.Writer                // staging for the response being built
+
+	stmts   []wire.Stmt    // decoded statements; alias the request payload
+	tabs    []*tenantTable // stmts[i]'s table
+	patch   wire.FramePatch
+	attempt func(tx *cicada.Txn) error // s.runStmts, bound once
 }
 
 func newSession(s *Server, c netConn) *session {
-	sess := &session{srv: s, conn: c, doneCh: make(chan respond, 64)}
+	sess := &session{srv: s, conn: c, home: int(s.nextHome.Add(1)-1) % len(s.leases)}
 	sess.enc.Init(s.pool)
+	sess.attempt = sess.runStmts
 	return sess
 }
 
-// run services the connection until it closes; it returns only when both
-// directions have finished and all bookkeeping is released.
+// run services the connection until it closes, a write fails, or a fatal
+// protocol violation occurs; it returns with all bookkeeping released.
 func (s *session) run() {
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		s.writeLoop()
-	}()
-	s.readLoop()
-	s.taskWG.Wait() // all worker tasks answered into doneCh
-	close(s.doneCh)
-	<-writerDone
+	br := bufio.NewReaderSize(s.conn, 4096)
+	for {
+		op, payload, err := wire.ReadFrame(br, s.srv.pool, s.srv.maxFrame, s.hdr[:])
+		fatal := err != nil
+		switch {
+		case err == nil:
+			s.srv.m.framesIn.Add(1)
+			n := uint64(wire.FrameHeaderLen)
+			if payload != nil {
+				n += uint64(payload.Len())
+			}
+			s.srv.m.bytesIn.Add(n)
+			fatal = s.dispatch(op, payload)
+		case errors.Is(err, wire.ErrFrameTooLarge):
+			s.srv.m.malformed.Add(1)
+			wire.EncodeErr(&s.enc, wire.ErrCodeFrameTooLarge, "frame too large")
+		case errors.Is(err, wire.ErrMalformed):
+			s.srv.m.malformed.Add(1)
+			wire.EncodeErr(&s.enc, wire.ErrCodeMalformed, "malformed frame")
+		} // io.EOF / connection errors: nothing to answer.
+		if s.flush() != nil || fatal {
+			break
+		}
+	}
 	s.conn.Close()
 	if s.ten != nil {
 		s.ten.sessions.Add(-1)
 	}
 }
 
-// readLoop frames requests until the connection dies or a fatal protocol
-// violation occurs.
-func (s *session) readLoop() {
-	br := bufio.NewReaderSize(s.conn, 4096)
-	for {
-		op, payload, err := wire.ReadFrame(br, s.srv.pool, s.srv.maxFrame)
-		if err != nil {
-			seq := s.seq
-			s.seq++
-			switch {
-			case errors.Is(err, wire.ErrMalformed):
-				s.srv.m.malformed.Add(1)
-				s.directErr(seq, wire.ErrCodeMalformed, "malformed frame", true)
-			case errors.Is(err, wire.ErrFrameTooLarge):
-				s.srv.m.malformed.Add(1)
-				s.directErr(seq, wire.ErrCodeFrameTooLarge, "frame too large", true)
-			}
-			// io.EOF / connection errors: nothing to answer.
-			return
-		}
-		s.srv.m.framesIn.Add(1)
-		n := uint64(wire.FrameHeaderLen)
-		if payload != nil {
-			n += uint64(payload.Len())
-		}
-		s.srv.m.bytesIn.Add(n)
-		if fatal := s.dispatch(op, payload); fatal {
-			return
-		}
-	}
-}
-
-// dispatch handles one request frame. It owns payload (possibly nil) and
-// either releases it or hands it to a worker. The return value reports a
-// fatal protocol violation (stop reading).
+// dispatch handles one request frame, leaving its response staged in s.enc
+// (a transaction's response is already written when it returns). It owns
+// payload (possibly nil). The return value reports that the connection
+// must close: a protocol violation after which framing may be out of sync,
+// or a failed write.
 func (s *session) dispatch(op wire.Opcode, payload *buf.Chunk) (fatal bool) {
-	seq := s.seq
-	s.seq++
-	switch op {
-	case wire.OpHello:
-		defer releaseIf(payload)
-		if s.ten != nil {
-			s.directErr(seq, wire.ErrCodeMalformed, "duplicate hello", true)
-			return true
-		}
-		var pb []byte
-		if payload != nil {
-			pb = payload.Bytes()
-		}
-		h, err := wire.DecodeHello(pb)
-		if err != nil {
-			s.srv.m.malformed.Add(1)
-			s.directErr(seq, wire.ErrCodeMalformed, "bad hello", true)
-			return true
-		}
-		if h.Major != wire.ProtoMajor {
-			s.directErr(seq, wire.ErrCodeBadVersion, "unsupported protocol version", true)
-			return true
-		}
-		ten := s.srv.tenants[string(h.Tenant)]
-		if ten == nil {
-			s.directErr(seq, wire.ErrCodeUnknownTenant, "unknown tenant", true)
-			return true
-		}
-		if n := ten.sessions.Add(1); int(n) > int(ten.maxSessions) {
-			ten.sessions.Add(-1)
-			ten.quotaRejects.Add(1)
-			s.directErr(seq, wire.ErrCodeQuota, "tenant session quota exhausted", true)
-			return true
-		}
-		s.ten = ten
-		ok := wire.AppendHelloOK(nil, uint32(s.srv.maxFrame), ten.tableNames)
-		p := wire.BeginFrame(&s.enc, wire.OpOK)
-		copy(s.enc.Frame(len(ok)), ok)
-		p.Finish(&s.enc)
-		s.send(seq, false)
-		return false
-
-	case wire.OpPing:
-		releaseIf(payload)
-		if s.ten == nil {
-			s.directErr(seq, wire.ErrCodeNoHello, "hello required", false)
-			return false
-		}
+	if op == wire.OpTxn {
+		return s.txn(payload)
+	}
+	var pb []byte
+	if payload != nil {
+		defer payload.Release()
+		pb = payload.Bytes()
+	}
+	switch {
+	case op == wire.OpHello:
+		return s.hello(pb)
+	case op != wire.OpPing && op != wire.OpStats:
+		wire.EncodeErr(&s.enc, wire.ErrCodeUnknownOp, "unknown opcode")
+	case s.ten == nil:
+		wire.EncodeErr(&s.enc, wire.ErrCodeNoHello, "hello required")
+	case op == wire.OpPing:
 		wire.EncodeEmpty(&s.enc, wire.OpOK)
-		s.send(seq, false)
-		return false
-
-	case wire.OpStats:
-		releaseIf(payload)
-		if s.ten == nil {
-			s.directErr(seq, wire.ErrCodeNoHello, "hello required", false)
-			return false
-		}
+	default:
 		es := s.srv.db.Stats()
-		pb := wire.AppendStats(nil, wire.Stats{
+		s.stageOK(wire.AppendStats(nil, wire.Stats{
 			Commits:        es.Commits,
 			Aborts:         es.Aborts,
 			TenantInflight: uint32(s.ten.inflight.Load()),
 			TenantSessions: uint32(s.ten.sessions.Load()),
-		})
-		p := wire.BeginFrame(&s.enc, wire.OpOK)
-		copy(s.enc.Frame(len(pb)), pb)
-		p.Finish(&s.enc)
-		s.send(seq, false)
-		return false
-
-	case wire.OpTxn:
-		if s.ten == nil {
-			releaseIf(payload)
-			s.directErr(seq, wire.ErrCodeNoHello, "hello required", false)
-			return false
-		}
-		if payload == nil {
-			s.srv.m.malformed.Add(1)
-			s.directErr(seq, wire.ErrCodeMalformed, "empty txn", false)
-			return false
-		}
-		if s.srv.draining.Load() {
-			payload.Release()
-			s.directErr(seq, wire.ErrCodeDraining, "server draining", false)
-			return false
-		}
-		if n := s.ten.inflight.Add(1); int(n) > int(s.ten.maxInflight) {
-			s.ten.inflight.Add(-1)
-			s.ten.quotaRejects.Add(1)
-			payload.Release()
-			s.directErr(seq, wire.ErrCodeQuota, "tenant inflight quota exhausted", false)
-			return false
-		}
-		s.srv.inflight.Add(1)
-		s.taskWG.Add(1)
-		select {
-		case s.srv.reqCh <- task{sess: s, ten: s.ten, seq: seq, payload: payload}:
-		default:
-			s.taskWG.Done()
-			s.ten.inflight.Add(-1)
-			s.srv.inflight.Add(-1)
-			s.srv.m.overloadRejects.Add(1)
-			payload.Release()
-			s.directErr(seq, wire.ErrCodeOverload, "submission queue full", false)
-		}
-		return false
-
-	default:
-		releaseIf(payload)
-		s.directErr(seq, wire.ErrCodeUnknownOp, "unknown opcode", false)
-		return false
+		}))
 	}
+	return false
 }
 
-// directErr stages an error frame for request seq and queues it in order.
-func (s *session) directErr(seq uint64, code wire.ErrCode, msg string, fatal bool) {
+// hello binds the session to its tenant. Every rejection is fatal.
+func (s *session) hello(pb []byte) (fatal bool) {
+	reject := func(code wire.ErrCode, msg string) bool {
+		wire.EncodeErr(&s.enc, code, msg)
+		return true
+	}
+	if s.ten != nil {
+		return reject(wire.ErrCodeMalformed, "duplicate hello")
+	}
+	h, err := wire.DecodeHello(pb)
+	if err != nil {
+		s.srv.m.malformed.Add(1)
+		return reject(wire.ErrCodeMalformed, "bad hello")
+	}
+	if h.Major != wire.ProtoMajor {
+		return reject(wire.ErrCodeBadVersion, "unsupported protocol version")
+	}
+	ten := s.srv.tenants[string(h.Tenant)]
+	if ten == nil {
+		return reject(wire.ErrCodeUnknownTenant, "unknown tenant")
+	}
+	if n := ten.sessions.Add(1); n > ten.maxSessions {
+		ten.sessions.Add(-1)
+		ten.quotaRejects.Add(1)
+		return reject(wire.ErrCodeQuota, "tenant session quota exhausted")
+	}
+	s.ten = ten
+	s.stageOK(wire.AppendHelloOK(nil, uint32(s.srv.maxFrame), ten.tableNames))
+	return false
+}
+
+// stageOK stages an ok frame carrying pb (cold path: hello and stats).
+func (s *session) stageOK(pb []byte) {
+	p := wire.BeginFrame(&s.enc, wire.OpOK)
+	copy(s.enc.Frame(len(pb)), pb)
+	p.Finish(&s.enc)
+}
+
+// txn admits, executes and answers one transaction frame; it owns payload.
+// Admission sheds at the socket: a rejected transaction never touches a
+// worker. An admitted one counts as in flight until its response is
+// written, and the worker lease covers execution only, never the write.
+//
+//cicada:noalloc
+func (s *session) txn(payload *buf.Chunk) (fatal bool) {
+	defer releaseIf(payload)
+	srv, ten := s.srv, s.ten
+	if ten == nil {
+		wire.EncodeErr(&s.enc, wire.ErrCodeNoHello, "hello required")
+		return false
+	}
+	if payload == nil {
+		srv.m.malformed.Add(1)
+		wire.EncodeErr(&s.enc, wire.ErrCodeMalformed, "empty txn")
+		return false
+	}
+	// The reference is taken before the draining check, and Drain raises
+	// the flag before it reads the count: one of the two sees the other.
+	srv.inflight.Add(1)
+	defer srv.inflight.Add(-1)
+	if srv.draining.Load() {
+		wire.EncodeErr(&s.enc, wire.ErrCodeDraining, "server draining")
+		return false
+	}
+	n := ten.inflight.Add(1)
+	defer ten.inflight.Add(-1)
+	if n > ten.maxInflight {
+		ten.quotaRejects.Add(1)
+		wire.EncodeErr(&s.enc, wire.ErrCodeQuota, "tenant inflight quota exhausted")
+		return false
+	}
+	l := srv.acquire(s.home)
+	if l == nil {
+		srv.m.overloadRejects.Add(1)
+		wire.EncodeErr(&s.enc, wire.ErrCodeOverload, "too many sessions waiting for a worker")
+		return false
+	}
+	if srv.testGate != nil {
+		srv.testGate()
+	}
+	s.execTxn(l.w, payload.Bytes())
+	l.mu.Unlock()
+	return s.flush() != nil
+}
+
+// execTxn decodes and executes one transaction on the leased worker w,
+// leaving the result or error frame staged in s.enc.
+//
+//cicada:noalloc
+func (s *session) execTxn(w *cicada.Worker, payload []byte) {
+	m, id := s.srv.m, w.ID()
+	var start time.Time
+	if m.txnLatency != nil {
+		start = time.Now()
+	}
+	s.ten.txns.Add(1)
+	readOnly, code, msg := s.decode(payload)
+	if code == 0 {
+		var err error
+		if readOnly {
+			err = w.RunReadOnly(s.attempt)
+		} else {
+			err = w.RunLimited(s.attempt, s.srv.txnAttempts)
+		}
+		if m.txnLatency != nil {
+			m.txnLatency.Shard(id).ObserveDuration(time.Since(start))
+		}
+		if err == nil {
+			inc(m.txnCommitted, id)
+			s.patch.Finish(&s.enc)
+			return
+		}
+		s.dropStaged() // the failed attempt's partial result frame
+		code, msg = classify(err)
+	}
+	if code >= wire.ErrCodeAbortRTSEarly {
+		inc(m.txnAborted, id)
+	} else {
+		inc(m.txnError, id)
+	}
 	wire.EncodeErr(&s.enc, code, msg)
-	s.send(seq, fatal)
 }
 
-// send detaches the reader's staged chain and queues it for the writer.
-func (s *session) send(seq uint64, fatal bool) {
+// decode parses the txn payload into s.stmts and resolves every
+// statement's table in the tenant namespace into s.tabs (the set is static,
+// so one failed lookup fails the whole txn before any engine work). A zero
+// code means the transaction is ready to run.
+//
+//cicada:noalloc
+func (s *session) decode(payload []byte) (readOnly bool, code wire.ErrCode, msg string) {
+	flags, stmts, err := wire.DecodeTxn(payload, s.stmts[:0])
+	s.stmts = stmts
+	if err != nil {
+		s.srv.m.malformed.Add(1)
+		return false, wire.ErrCodeMalformed, "bad txn payload"
+	}
+	readOnly = flags&wire.TxnReadOnly != 0
+	s.tabs = s.tabs[:0]
+	for i := range stmts {
+		st := &stmts[i]
+		if readOnly && st.Kind != wire.StGet {
+			return readOnly, wire.ErrCodeReadOnly, "write in read-only txn"
+		}
+		tt := s.ten.tables[string(st.Table)]
+		if tt == nil {
+			return readOnly, wire.ErrCodeNoTable, "unknown table"
+		}
+		s.tabs = append(s.tabs, tt)
+	}
+	return readOnly, 0, ""
+}
+
+// runStmts is one attempt of the transaction in s.stmts. It may run several
+// times (conflict retries); each attempt restarts the staged result frame
+// from scratch.
+//
+//cicada:noalloc
+func (s *session) runStmts(tx *cicada.Txn) error {
+	s.dropStaged()
+	s.patch = wire.BeginFrame(&s.enc, wire.OpResult)
+	wire.AppendResultCount(&s.enc, len(s.stmts))
+	for i := range s.stmts {
+		if err := execStmt(tx, &s.enc, &s.stmts[i], s.tabs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// dropStaged discards whatever is staged in s.enc.
+func (s *session) dropStaged() {
 	head, _, _ := s.enc.Detach()
-	s.doneCh <- respond{seq: seq, head: head, fatal: fatal}
+	releaseChain(head)
 }
 
-// reply queues a worker-staged response for t's session; the admission
-// reservations drop when the writer finishes with the chain.
-func (t task) reply(head *buf.Chunk, fatal bool) {
-	t.sess.doneCh <- respond{seq: t.seq, head: head, ten: t.ten, fatal: fatal}
-	t.sess.taskWG.Done()
-}
-
-// writeLoop streams responses in request order, releasing each chain and
-// its admission reservations. After a write error (or a fatal response)
-// the connection is dead: the loop keeps draining doneCh so workers and
-// the reader never block, releasing everything without writing.
-func (s *session) writeLoop() {
-	pending := make(map[uint64]respond)
-	next := uint64(0)
-	dead := false
-	for r := range s.doneCh {
-		pending[r.seq] = r
-		for {
-			q, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if !dead {
-				if err := s.writeChain(q.head); err != nil {
-					dead = true
-					// Stop the reader too: a session that cannot answer
-					// should not keep consuming requests.
-					s.conn.Close()
-				}
-			}
-			releaseChain(q.head)
-			if q.ten != nil {
-				q.ten.inflight.Add(-1)
-				s.srv.inflight.Add(-1)
-			}
-			if q.fatal && !dead {
-				dead = true
-				// Unblock the reader, which may be mid-ReadFrame.
-				s.conn.Close()
-			}
-		}
+// flush writes the staged response, if any, with a bounded deadline, and
+// releases its chunks whether or not the write succeeded.
+//
+//cicada:noalloc
+func (s *session) flush() error {
+	head, _, _ := s.enc.Detach()
+	if head == nil {
+		return nil
 	}
-	// The reader only closes doneCh after every outstanding task answered,
-	// so pending is empty here unless a sequence number was lost; release
-	// defensively regardless.
-	for _, q := range pending {
-		releaseChain(q.head)
-		if q.ten != nil {
-			q.ten.inflight.Add(-1)
-			s.srv.inflight.Add(-1)
-		}
-	}
-}
-
-// writeChain writes one response chain with a bounded deadline.
-func (s *session) writeChain(head *buf.Chunk) error {
+	defer releaseChain(head)
 	if d, ok := s.conn.(deadlineConn); ok {
 		d.SetWriteDeadline(time.Now().Add(writeTimeout))
 	}
 	var bytes uint64
+	defer func() { s.srv.m.bytesOut.Add(bytes) }()
 	for c := head; c != nil; c = c.Next() {
 		b := c.Bytes()
 		for len(b) > 0 {
 			n, err := s.conn.Write(b)
 			bytes += uint64(n)
 			if err != nil {
-				s.srv.m.bytesOut.Add(bytes)
 				return err
 			}
 			b = b[n:]
 		}
 	}
 	s.srv.m.framesOut.Add(1)
-	s.srv.m.bytesOut.Add(bytes)
 	return nil
 }
 

@@ -30,7 +30,7 @@ func FuzzDecode(f *testing.F) {
 		pool := buf.NewPool(512, 8)
 		r := bytes.NewReader(data)
 		for {
-			op, c, err := ReadFrame(r, pool, 1<<16)
+			op, c, err := ReadFrame(r, pool, 1<<16, make([]byte, FrameHeaderLen))
 			if err != nil {
 				if err != io.EOF && err != io.ErrUnexpectedEOF &&
 					!errors.Is(err, ErrMalformed) && !errors.Is(err, ErrFrameTooLarge) {

@@ -11,7 +11,7 @@
 //	u8  opcode
 //	...          payload, length-1 bytes
 //
-// A frame's payload is always contiguous in memory: the session reader
+// A frame's payload is always contiguous in memory: the session
 // pulls each request into one pooled chunk (oversize requests get a
 // dedicated chunk), and decode works in place over that buffer without
 // copying. Responses are staged into a buf.Writer chunk chain; a response
@@ -171,8 +171,8 @@ const (
 	// ErrCodeQuota is the per-tenant admission rejection (session or
 	// in-flight quota exhausted).
 	ErrCodeQuota ErrCode = 8
-	// ErrCodeOverload is the global admission rejection (submission queue
-	// full across all tenants).
+	// ErrCodeOverload is the global admission rejection (too many sessions
+	// of any tenant already waiting for a worker).
 	ErrCodeOverload ErrCode = 9
 	// ErrCodeDraining rejects new work while the server drains for
 	// shutdown.
@@ -403,9 +403,10 @@ func appendStmtPrefix(dst []byte, kind StmtKind, table string, key uint64) []byt
 // the payload (nil when the payload is empty; the caller must Release a
 // non-nil chunk). maxFrame bounds the length field; an oversized frame
 // returns ErrFrameTooLarge without consuming the payload, so the caller
-// must treat it as connection-fatal.
-func ReadFrame(r io.Reader, pool *buf.Pool, maxFrame int) (Opcode, *buf.Chunk, error) {
-	var hdr [FrameHeaderLen]byte
+// must treat it as connection-fatal. hdr is the caller's scratch for the
+// frame header, at least FrameHeaderLen bytes: a local array would escape
+// through io.ReadFull and cost an allocation per frame.
+func ReadFrame(r io.Reader, pool *buf.Pool, maxFrame int, hdr []byte) (Opcode, *buf.Chunk, error) {
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return 0, nil, err
 	}

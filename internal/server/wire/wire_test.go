@@ -35,7 +35,7 @@ func splitFrames(t *testing.T, raw []byte, pool *buf.Pool) []struct {
 	}
 	r := bytes.NewReader(raw)
 	for {
-		op, c, err := ReadFrame(r, pool, DefaultMaxFrame)
+		op, c, err := ReadFrame(r, pool, DefaultMaxFrame, make([]byte, FrameHeaderLen))
 		if err == io.EOF {
 			return frames
 		}
@@ -222,21 +222,21 @@ func TestReadFrameLimits(t *testing.T) {
 	pool := buf.NewPool(256, 4)
 
 	// Zero-length frame: malformed.
-	_, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0}), pool, DefaultMaxFrame)
+	_, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0}), pool, DefaultMaxFrame, make([]byte, FrameHeaderLen))
 	if !errors.Is(err, ErrMalformed) {
 		t.Fatalf("zero-length err = %v", err)
 	}
 
 	// Over-limit length: frame_too_large.
 	raw := AppendFrame(nil, OpPing, bytes.Repeat([]byte{0}, 64))
-	_, _, err = ReadFrame(bytes.NewReader(raw), pool, 16)
+	_, _, err = ReadFrame(bytes.NewReader(raw), pool, 16, make([]byte, FrameHeaderLen))
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversize err = %v", err)
 	}
 
 	// Truncated payload: io error, chunk released.
 	raw = AppendFrame(nil, OpTxn, bytes.Repeat([]byte{1}, 100))
-	_, _, err = ReadFrame(bytes.NewReader(raw[:20]), pool, DefaultMaxFrame)
+	_, _, err = ReadFrame(bytes.NewReader(raw[:20]), pool, DefaultMaxFrame, make([]byte, FrameHeaderLen))
 	if err == nil {
 		t.Fatal("truncated payload: want error")
 	}
