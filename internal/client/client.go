@@ -148,7 +148,9 @@ func (c *Client) Stats() (wire.Stats, error) {
 
 // Txn starts a batched transaction. Statements accumulate client-side and
 // ship as one frame on Exec; the server runs them as one serializable
-// transaction. A Txn is spent after Exec: start the next one with Txn.
+// transaction. A Txn is spent after Exec: start the next one with Txn. One
+// that will not be executed should be handed back with Discard; dropping it
+// instead costs every later transaction of this client an allocation.
 func (c *Client) Txn() *Txn { return c.newTxn(0) }
 
 // ReadOnlyTxn starts a batched read-only snapshot transaction (consistent,
@@ -167,7 +169,7 @@ func (c *Client) newTxn(flags byte) *Txn {
 }
 
 // Txn accumulates statements for one batched transaction. It must not be
-// used after Exec: the client recycles it for a later transaction.
+// used after Exec or Discard: the client recycles it for a later transaction.
 type Txn struct {
 	c     *Client
 	flags byte
@@ -194,6 +196,14 @@ func (t *Txn) Delete(table string, key uint64) *Txn {
 	t.body = wire.AppendDelete(t.body, table, key)
 	t.n++
 	return t
+}
+
+// Discard abandons a transaction that will not be executed; like Exec, it
+// spends the Txn.
+func (t *Txn) Discard() {
+	if t == &t.c.txn {
+		t.c.txnOut.Store(false)
+	}
 }
 
 // Exec ships the batch and returns the per-statement results in statement

@@ -108,6 +108,32 @@ func TestTxnRecycling(t *testing.T) {
 	}
 }
 
+// TestTxnDiscard: a transaction that is built and then abandoned hands the
+// recycled Txn back, and none of its statements leak into the next one.
+func TestTxnDiscard(t *testing.T) {
+	c, reqs := fakeServer(t, func(_ wire.Opcode, payload []byte) []byte {
+		return resultFrame(stmtCount(payload), nil)
+	})
+	abandoned := c.Txn().Put("t", 1, []byte("never sent"))
+	heap := c.Txn() // outstanding alongside it: a heap Txn, whose Discard is a no-op
+	heap.Discard()
+	if next := c.Txn(); next == abandoned {
+		t.Fatal("recycled Txn handed out while still outstanding")
+	}
+	abandoned.Discard()
+	next := c.Txn().Get("t", 2)
+	if next != abandoned {
+		t.Fatal("discarded Txn was not recycled")
+	}
+	if _, err := next.Exec(); err != nil {
+		t.Fatalf("Exec: %v", err)
+	}
+	want := wire.AppendGet(wire.AppendTxnHeader(nil, 0, 1), "t", 2)
+	if got := <-reqs; !bytes.Equal(got, want) {
+		t.Fatalf("request = %x, want %x (abandoned statements sent?)", got, want)
+	}
+}
+
 func TestServerErrorDecoding(t *testing.T) {
 	c, _ := fakeServer(t, func(op wire.Opcode, _ []byte) []byte {
 		if op == wire.OpPing {

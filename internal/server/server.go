@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,6 +67,9 @@ const (
 	// lease is released before the write, so a stalled client never holds
 	// a worker.
 	writeTimeout = 30 * time.Second
+	// leaseSpins is how many times a session that found every lease taken
+	// yields and rescans before it parks.
+	leaseSpins = 4
 )
 
 // lease is one engine worker and the lock that makes a session its only
@@ -95,8 +99,11 @@ type Server struct {
 
 	draining atomic.Bool
 	inflight atomic.Int64  // admitted txns whose response is not yet written
-	waiters  atomic.Int32  // sessions blocked waiting for a lease
+	waiters  atomic.Int32  // sessions waiting for a lease
 	nextHome atomic.Uint32 // sessions started; spreads their home workers round-robin
+
+	freedMu sync.Mutex // guards freed
+	freed   sync.Cond  // signalled by release while sessions wait
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -133,6 +140,7 @@ func New(cfg Config) (*Server, error) {
 		conns:       make(map[net.Conn]struct{}),
 		m:           &metrics{},
 	}
+	s.freed.L = &s.freedMu
 	for id := range s.leases {
 		s.leases[id].w = cfg.DB.Worker(id)
 	}
@@ -251,25 +259,58 @@ func (s *Server) Close() error {
 }
 
 // acquire leases an engine worker for one transaction: the first free one
-// starting from home, else it waits for home. It returns nil, holding
-// nothing, when QueueDepth sessions are already waiting. The lease is a
-// mutex rather than a channel of free workers because a collision is
-// usually over within a transaction's few microseconds: Mutex.Lock spins
-// before it parks, a channel receive parks at once.
+// starting from home. With none free it registers as a waiter, rescans a few
+// times (a collision is usually over within a transaction's few
+// microseconds, so parking at once costs more than it saves), then parks
+// until any lease is released: waiting for one particular holder would
+// leave the session stuck behind it while other workers sit idle. It
+// returns nil, holding nothing, when QueueDepth sessions are already
+// waiting.
 func (s *Server) acquire(home int) *lease {
-	for i := range s.leases {
-		if l := &s.leases[(home+i)%len(s.leases)]; l.mu.TryLock() {
-			return l
-		}
+	if l := s.tryLease(home); l != nil {
+		return l
 	}
 	if s.waiters.Add(1) > s.queueDepth {
 		s.waiters.Add(-1)
 		return nil
 	}
-	l := &s.leases[home]
-	l.mu.Lock()
-	s.waiters.Add(-1)
-	return l
+	defer s.waiters.Add(-1)
+	for i := 0; i < leaseSpins; i++ {
+		runtime.Gosched()
+		if l := s.tryLease(home); l != nil {
+			return l
+		}
+	}
+	s.freedMu.Lock()
+	defer s.freedMu.Unlock()
+	for {
+		if l := s.tryLease(home); l != nil {
+			return l
+		}
+		s.freed.Wait()
+	}
+}
+
+// tryLease takes the first free lease starting from home, or returns nil.
+func (s *Server) tryLease(home int) *lease {
+	for i := range s.leases {
+		if l := &s.leases[(home+i)%len(s.leases)]; l.mu.TryLock() {
+			return l
+		}
+	}
+	return nil
+}
+
+// release returns l and wakes one parked waiter, if any. A waiter counts
+// itself in s.waiters before its last scan under freedMu, so either that
+// scan sees l free or this load sees the waiter.
+func (s *Server) release(l *lease) {
+	l.mu.Unlock()
+	if s.waiters.Load() > 0 {
+		s.freedMu.Lock()
+		s.freed.Signal()
+		s.freedMu.Unlock()
+	}
 }
 
 // maintainLoop runs engine maintenance on every worker that is not leased,
@@ -284,7 +325,7 @@ func (s *Server) maintainLoop() {
 			for i := range s.leases {
 				if l := &s.leases[i]; l.mu.TryLock() {
 					l.w.Idle()
-					l.mu.Unlock()
+					s.release(l)
 				}
 			}
 		case <-s.stopCh:

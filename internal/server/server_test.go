@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -378,6 +379,108 @@ func TestOverloadRejection(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatalf("held txn: %v", err)
 		}
+	}
+}
+
+// TestWaiterTakesAnyFreedLease: a session that found every lease taken gets
+// whichever one is released first. It must not wait for its home worker's
+// holder while another worker is free.
+func TestWaiterTakesAnyFreedLease(t *testing.T) {
+	srv, addr := testServer(t, nil)
+	c := dial(t, addr, "acme")
+	home := int(srv.nextHome.Load()-1) % len(srv.leases)
+	other := (home + 1) % len(srv.leases)
+	for i := range srv.leases {
+		srv.leases[i].mu.Lock()
+	}
+	t.Cleanup(func() { srv.release(&srv.leases[home]) })
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Txn().Put("accounts", 1, []byte("v")).Exec()
+		done <- err
+	}()
+	waitFor(t, "the session to wait for a lease", func() bool { return srv.waiters.Load() == 1 })
+	time.Sleep(5 * time.Millisecond) // past the rescans, so it is parked
+	srv.release(&srv.leases[other])
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("txn: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("session still waits for its home worker while another is free")
+	}
+}
+
+// TestPipelinedResponsesInRequestOrder writes several requests of every kind
+// in one segment and checks that exactly one response per request comes
+// back, in request order (docs/PROTOCOL.md "Pipelining and ordering").
+func TestPipelinedResponsesInRequestOrder(t *testing.T) {
+	_, addr := testServer(t, nil)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+
+	txn := func(n int, body []byte) []byte {
+		return wire.AppendFrame(nil, wire.OpTxn, append(wire.AppendTxnHeader(nil, 0, n), body...))
+	}
+	result := func(vals ...string) func(*testing.T, wire.Opcode, []byte) {
+		return func(t *testing.T, op wire.Opcode, payload []byte) {
+			res, err := wire.DecodeResults(payload, nil)
+			if op != wire.OpResult || err != nil || len(res) != len(vals) {
+				t.Fatalf("got %v with %d results (%v), want %d results", op, len(res), err, len(vals))
+			}
+			for i, v := range vals {
+				if string(res[i].Value) != v {
+					t.Fatalf("result %d = %q, want %q", i, res[i].Value, v)
+				}
+			}
+		}
+	}
+	ok := func(t *testing.T, op wire.Opcode, _ []byte) {
+		if op != wire.OpOK {
+			t.Fatalf("got %v, want ok", op)
+		}
+	}
+	errCode := func(want wire.ErrCode) func(*testing.T, wire.Opcode, []byte) {
+		return func(t *testing.T, op wire.Opcode, payload []byte) {
+			code, _, err := wire.DecodeErr(payload)
+			if op != wire.OpErr || err != nil || code != want {
+				t.Fatalf("got %v code %v (%v), want err %v", op, code, err, want)
+			}
+		}
+	}
+	steps := []struct {
+		name  string
+		frame []byte
+		check func(*testing.T, wire.Opcode, []byte)
+	}{
+		{"hello", wire.AppendFrame(nil, wire.OpHello, wire.AppendHello(nil, "acme")), ok},
+		{"put a", txn(1, wire.AppendPut(nil, "accounts", 1, []byte("a"))), result("")},
+		{"ping", wire.AppendFrame(nil, wire.OpPing, nil), ok},
+		{"get a", txn(1, wire.AppendGet(nil, "accounts", 1)), result("a")},
+		{"bad op", wire.AppendFrame(nil, wire.Opcode(0x55), nil), errCode(wire.ErrCodeUnknownOp)},
+		{"unknown table", txn(1, wire.AppendGet(nil, "nope", 1)), errCode(wire.ErrCodeNoTable)},
+		{"put b, get b", txn(2, wire.AppendGet(wire.AppendPut(nil, "accounts", 1, []byte("b")), "accounts", 1)), result("", "b")},
+		{"stats", wire.AppendFrame(nil, wire.OpStats, nil), ok},
+	}
+	var all []byte
+	for _, st := range steps {
+		all = append(all, st.frame...)
+	}
+	if _, err := conn.Write(all); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	for _, st := range steps {
+		op, payload := readFrame(t, conn)
+		t.Run(st.name, func(t *testing.T) { st.check(t, op, payload) })
+	}
+	conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if n, err := conn.Read(make([]byte, 1)); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("more responses than requests: read %d bytes, err %v", n, err)
 	}
 }
 

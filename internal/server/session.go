@@ -35,7 +35,7 @@ type session struct {
 }
 
 func newSession(s *Server, c netConn) *session {
-	sess := &session{srv: s, conn: c, home: int(s.nextHome.Add(1)-1) % len(s.leases)}
+	sess := &session{srv: s, conn: c, home: int((s.nextHome.Add(1) - 1) % uint32(len(s.leases)))}
 	sess.enc.Init(s.pool)
 	sess.attempt = sess.runStmts
 	return sess
@@ -190,7 +190,7 @@ func (s *session) txn(payload *buf.Chunk) (fatal bool) {
 		srv.testGate()
 	}
 	s.execTxn(l.w, payload.Bytes())
-	l.mu.Unlock()
+	srv.release(l)
 	return s.flush() != nil
 }
 
