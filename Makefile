@@ -7,8 +7,9 @@ GO ?= go
 # along too: logger goroutines, the group-commit path, and crash-freezing
 # registries are all cross-goroutine (docs/DURABILITY.md). internal/server
 # is session goroutines × worker leases × drain (docs/SERVER.md), and
-# internal/client is what its tests drive it with.
-RACE_PKGS = ./internal/core/... ./internal/clock/... ./internal/storage/... ./internal/telemetry/... ./internal/trace/... ./internal/wal/... ./internal/fault/... ./internal/server/... ./internal/client/...
+# internal/client is what its tests drive it with. internal/index frees
+# B+-tree nodes under concurrent readers (docs/CONCURRENCY.md).
+RACE_PKGS = ./internal/core/... ./internal/index/... ./internal/clock/... ./internal/storage/... ./internal/telemetry/... ./internal/trace/... ./internal/wal/... ./internal/fault/... ./internal/server/... ./internal/client/...
 
 .PHONY: all build test lint vet check race bench bench-smoke bench-compare bench-json skew-smoke telemetry-smoke trace-smoke server-smoke torture docs-lint clean
 

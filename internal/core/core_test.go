@@ -525,6 +525,79 @@ func TestInlinePromotion(t *testing.T) {
 	}
 }
 
+// TestWriteAfterPromotingReadIsLogged is the regression test for the lost
+// durable updates of docs/DURABILITY.md ("Writes after a promoting read"): a
+// read that triggers an inlining promotion marks its access as not worth
+// logging, and a write, update or delete of the same record later in the
+// transaction used to inherit the mark and commit without a redo record.
+func TestWriteAfterPromotingReadIsLogged(t *testing.T) {
+	for _, op := range []string{"update", "write", "delete"} {
+		t.Run(op, func(t *testing.T) {
+			e := newTestEngine(1, nil)
+			tbl := e.CreateTable("t")
+			w := e.Worker(0)
+			// The insert takes the inline slot, so the update's version, the
+			// latest, is not inline: a candidate for promotion once cold.
+			rid := mustInsert(t, w, tbl, []byte("cold"))
+			if err := w.Run(func(tx *Txn) error {
+				_, err := tx.Update(tbl, rid, -1)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var logged []LogEntry
+			e.SetLogger(loggerFunc(func(_ int, _ clock.Timestamp, entries []LogEntry) error {
+				for _, en := range entries {
+					en.Data = append([]byte(nil), en.Data...)
+					logged = append(logged, en)
+				}
+				return nil
+			}))
+			// Age the record below min_rts and let GC release the inline
+			// slot; the next read promotes.
+			promoted := false
+			deadline := time.Now().Add(5 * time.Second)
+			for !promoted {
+				if time.Now().After(deadline) {
+					t.Fatal("no read ever promoted")
+				}
+				advanceEpochs(t, e, 2)
+				w.collectGarbage()
+				w.processLimbo()
+				before := w.stats.promotions.Load()
+				if err := w.Run(func(tx *Txn) error {
+					if _, err := tx.Read(tbl, rid); err != nil {
+						return err
+					}
+					if promoted = w.stats.promotions.Load() > before; !promoted {
+						return nil
+					}
+					switch op {
+					case "update":
+						buf, err := tx.Update(tbl, rid, -1)
+						copy(buf, "WARM")
+						return err
+					case "write":
+						buf, err := tx.Write(tbl, rid, 4)
+						copy(buf, "WARM")
+						return err
+					}
+					return tx.Delete(tbl, rid)
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if !promoted && len(logged) != 0 {
+					t.Fatalf("a read-only or promotion-only transaction logged %+v", logged)
+				}
+			}
+			if len(logged) != 1 || logged[0].Record != rid || logged[0].Deleted != (op == "delete") ||
+				(op != "delete" && string(logged[0].Data) != "WARM") {
+				t.Fatalf("%s after a promoting read logged %+v", op, logged)
+			}
+		})
+	}
+}
+
 func TestInliningDisabled(t *testing.T) {
 	e := newTestEngine(1, func(o *Options) { o.Inlining = false })
 	tbl := e.CreateTable("t")

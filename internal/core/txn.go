@@ -37,7 +37,8 @@ type access struct {
 	// installed is set once newVer is linked into the record's version list.
 	installed bool
 	// promoted marks an inlining promotion write (§3.3): a read upgraded to
-	// an RMW that copies the same data into the inline slot.
+	// an RMW that copies the same data into the inline slot, and so is not
+	// logged. Cleared when the transaction goes on to write the record.
 	promoted bool
 }
 
@@ -506,6 +507,7 @@ func (t *Txn) Write(tbl *Table, rid storage.RecordID, size int) ([]byte, error) 
 			t.writes = append(t.writes, i)
 			return nv.Data, nil
 		default:
+			a.promoted = false // a real write now: it must reach the redo log
 			return t.restageOwn(i, size)
 		}
 	}
@@ -597,6 +599,7 @@ func (t *Txn) Update(tbl *Table, rid storage.RecordID, newSize int) ([]byte, err
 			t.writes = append(t.writes, i)
 			return nv.Data, nil
 		default:
+			a.promoted = false
 			if newSize >= 0 && newSize != len(a.newVer.Data) {
 				return t.restageOwn(i, newSize)
 			}
@@ -712,6 +715,7 @@ func (t *Txn) Delete(tbl *Table, rid storage.RecordID) error {
 		default:
 			// Write-then-delete in one transaction: the staged write becomes
 			// a tombstone.
+			a.promoted = false
 			t.unstage(tbl.st.Head(rid), a.newVer)
 			a.newVer = t.worker.pool.Get(0)
 			a.kind = accDelete

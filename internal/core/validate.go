@@ -148,13 +148,6 @@ func (t *Txn) Commit() error {
 		if a.newVer == nil {
 			continue
 		}
-		if invariantsEnabled && a.installed && !opts.NoWaitPending {
-			// At the moment a pending version commits, the committed version
-			// below it must not have been read beyond tx.ts (§3.4). Under
-			// NoWaitPending speculative readers may violate this and abort
-			// later instead, so the check is skipped there.
-			storage.CheckCommitOrder(a.newVer, "commit")
-		}
 		if a.kind == accDelete {
 			a.newVer.SetStatus(storage.StatusDeleted)
 		} else {

@@ -81,3 +81,20 @@ func TestAllocBudgetMVBTreeInsertDelete(t *testing.T) {
 		}
 	})
 }
+
+// TestAllocBudgetMVBTreeQueueChurn is the queue shape: push the tail, pop the
+// head. One leaf is freed every seven operations and an internal node every
+// thirty-five, so the warm-up crosses hundreds of frees; in steady state
+// every split must be served by a reclaimed node record and its versions.
+func TestAllocBudgetMVBTreeQueueChurn(t *testing.T) {
+	tr, step := benchQueue(t)
+	capBefore := tr.Table().Storage().Cap()
+	assertZeroAllocs(t, "MVBTree queue push+pop txn", func() {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if grown := tr.Table().Storage().Cap() - capBefore; grown > 16 {
+		t.Errorf("node table grew by %d records over %d operations", grown, idxAllocWarmup+1000)
+	}
+}

@@ -118,6 +118,55 @@ func BenchmarkMVBTreeInsert(b *testing.B) {
 	}
 }
 
+// benchQueue preloads a tree with keys 0..benchKeys-1 and returns a step
+// that pushes the next key at the tail and pops the head in one transaction.
+func benchQueue(tb testing.TB) (*MVBTree, func() error) {
+	tb.Helper()
+	e := core.NewEngine(core.DefaultOptions(1))
+	t := NewMVBTree(e, "idx", true)
+	w := e.Worker(0)
+	head, tail := uint64(0), uint64(0)
+	push := func(tx *core.Txn) error { return t.Insert(tx, tail, storage.RecordID(tail)) }
+	for ; tail < benchKeys; tail++ {
+		if err := w.Run(push); err != nil {
+			tb.Fatalf("preload: %v", err)
+		}
+	}
+	fn := func(tx *core.Txn) error {
+		if err := push(tx); err != nil {
+			return err
+		}
+		return t.Delete(tx, head, storage.RecordID(head))
+	}
+	return t, func() error {
+		err := w.Run(fn)
+		head++
+		tail++
+		return err
+	}
+}
+
+// BenchmarkMVBTreeQueueChurn measures the queue cycle (insert at the tail,
+// delete at the head) and reports nodes/op, the node table's growth per
+// operation: it reads 0 when freed nodes are reused.
+func BenchmarkMVBTreeQueueChurn(b *testing.B) {
+	t, step := benchQueue(b)
+	for i := 0; i < idxAllocWarmup; i++ {
+		if err := step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	capBefore := t.Table().Storage().Cap()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(t.Table().Storage().Cap()-capBefore)/float64(b.N), "nodes/op")
+}
+
 func BenchmarkMVBTreeScan16(b *testing.B) {
 	t, w := benchTree(b)
 	var sum uint64

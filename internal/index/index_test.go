@@ -23,6 +23,16 @@ func run(t *testing.T, w *core.Worker, fn func(tx *core.Txn) error) {
 	}
 }
 
+// observeAll orders w's next transaction after everything the engine's
+// workers have committed. Worker clocks are only loosely synchronized
+// (§3.1), so without it a check that follows concurrent writers may run at a
+// timestamp below some of their commits and see a correct, older snapshot.
+func observeAll(e *core.Engine, w *core.Worker) {
+	for id := 0; id < e.Options().Workers; id++ {
+		w.ObserveTimestamp(e.Worker(id).CurrentTS())
+	}
+}
+
 func TestMVHashBasic(t *testing.T) {
 	e := newEngine(1)
 	h := NewMVHash(e, "idx", 1024, false)
@@ -322,32 +332,117 @@ func TestMVBTreeUnique(t *testing.T) {
 	}
 }
 
-func TestMVBTreePhantomOnScan(t *testing.T) {
-	e := newEngine(2)
-	bt := NewMVBTree(e, "bt", false)
-	w0, w1 := e.Worker(0), e.Worker(1)
-	for k := 0; k < 20; k += 2 {
-		k := k
-		run(t, w0, func(tx *core.Txn) error { return bt.Insert(tx, uint64(k), storage.RecordID(k)) })
-	}
-	// An earlier-timestamp inserter must abort if a later-timestamp scan of
-	// the covering range has committed.
-	inserter := w0.Begin()
-	if err := w1.Run(func(tx *core.Txn) error {
-		cnt := 0
-		return bt.Scan(tx, 0, 19, -1, func(k uint64, r storage.RecordID) bool { cnt++; return true })
-	}); err != nil {
-		t.Fatal(err)
-	}
-	err := bt.Insert(inserter, 5, 55) // phantom inside the scanned range
+// finish commits tx if err is nil and rolls it back otherwise, as Worker.Run
+// does for one attempt.
+func finish(tx *core.Txn, err error) error {
 	if err == nil {
-		err = inserter.Commit()
-	} else {
-		inserter.Abort()
+		return tx.Commit()
 	}
-	if !errors.Is(err, core.ErrAborted) {
-		t.Fatalf("phantom insert not aborted: %v", err)
+	tx.Abort()
+	return err
+}
+
+// TestMVBTreePhantomOnScan pits a committed or in-flight range scan against
+// a structural change inside the scanned range — an insert, and a delete
+// that empties a leaf and so frees it, relinks its left neighbour and
+// rewrites its parent. Whatever the
+// interleaving, the writer aborts, the scanner aborts, or the scanner
+// serializes before the writer having seen the range as it was.
+func TestMVBTreePhantomOnScan(t *testing.T) {
+	const n = 40 // six leaves under one root; keys 14..20 fill the third
+	setup := func(t *testing.T) (bt *MVBTree, early, late *core.Txn) {
+		e := newEngine(2)
+		bt = NewMVBTree(e, "bt", false)
+		w0, w1 := e.Worker(0), e.Worker(1)
+		for k := uint64(0); k < n; k++ {
+			k := k
+			run(t, w0, func(tx *core.Txn) error { return bt.Insert(tx, k, storage.RecordID(k)) })
+		}
+		early = w0.Begin()
+		w1.ObserveTimestamp(early.Timestamp())
+		return bt, early, w1.Begin()
 	}
+	scan := func(bt *MVBTree, tx *core.Txn, each func(k uint64)) (int, error) {
+		cnt := 0
+		err := bt.Scan(tx, 0, n, -1, func(k uint64, _ storage.RecordID) bool {
+			if each != nil {
+				each(k)
+			}
+			cnt++
+			return true
+		})
+		return cnt, err
+	}
+	freeLeaf := func(bt *MVBTree, tx *core.Txn) error {
+		for k := uint64(14); k <= 20; k++ {
+			if err := bt.Delete(tx, k, storage.RecordID(k)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	t.Run("insert below a committed scan aborts", func(t *testing.T) {
+		bt, inserter, scanner := setup(t)
+		if cnt, err := scan(bt, scanner, nil); cnt != n || finish(scanner, err) != nil {
+			t.Fatalf("scan: %d keys, %v", cnt, err)
+		}
+		// The leaf has room: a plain phantom inside the scanned range.
+		if err := finish(inserter, bt.Insert(inserter, 17, 99)); !errors.Is(err, core.ErrAborted) {
+			t.Fatalf("phantom insert not aborted: %v", err)
+		}
+	})
+	t.Run("free below a committed scan aborts", func(t *testing.T) {
+		bt, deleter, scanner := setup(t)
+		if cnt, err := scan(bt, scanner, nil); cnt != n || finish(scanner, err) != nil {
+			t.Fatalf("scan: %d keys, %v", cnt, err)
+		}
+		if err := finish(deleter, freeLeaf(bt, deleter)); !errors.Is(err, core.ErrAborted) {
+			t.Fatalf("leaf free under a later committed scan not aborted: %v", err)
+		}
+	})
+	t.Run("earlier scan serializes before a later free", func(t *testing.T) {
+		bt, scanner, deleter := setup(t)
+		cnt, err := scan(bt, scanner, nil)
+		if err != nil || cnt != n {
+			t.Fatalf("scan: %d keys, %v", cnt, err)
+		}
+		if err := finish(deleter, freeLeaf(bt, deleter)); err != nil {
+			t.Fatalf("later free: %v", err)
+		}
+		if err := scanner.Commit(); err != nil {
+			t.Fatalf("earlier scanner, which saw the old parent and the old leaf: %v", err)
+		}
+	})
+	t.Run("earlier free commits under a later scan: scanner aborts", func(t *testing.T) {
+		bt, deleter, scanner := setup(t)
+		cnt, err := scan(bt, scanner, nil)
+		if err != nil || cnt != n {
+			t.Fatalf("scan: %d keys, %v", cnt, err)
+		}
+		if err := finish(deleter, freeLeaf(bt, deleter)); err != nil {
+			t.Fatalf("earlier free, committed before the scanner validated: %v", err)
+		}
+		if err := scanner.Commit(); !errors.Is(err, core.ErrAborted) {
+			t.Fatalf("scanner that read a since-freed leaf committed: %v", err)
+		}
+	})
+	t.Run("scan that reaches a freed leaf through a stale link aborts", func(t *testing.T) {
+		bt, deleter, scanner := setup(t)
+		var derr error
+		_, err := scan(bt, scanner, func(k uint64) {
+			if k == 7 { // inside the second leaf, which links to the third
+				derr = finish(deleter, freeLeaf(bt, deleter))
+			}
+		})
+		if derr != nil {
+			t.Fatalf("earlier free: %v", derr)
+		}
+		if !errors.Is(err, core.ErrAborted) {
+			t.Fatalf("scan followed a dangling link: %v", err)
+		}
+		scanner.Abort()
+	})
 }
 
 func TestMVBTreeAbortLeavesNoTrace(t *testing.T) {
@@ -400,6 +495,7 @@ func TestMVBTreeConcurrentInserts(t *testing.T) {
 		}(id)
 	}
 	wg.Wait()
+	observeAll(e, e.Worker(0))
 	run(t, e.Worker(0), func(tx *core.Txn) error {
 		cnt := 0
 		prev := -1
@@ -473,6 +569,7 @@ func TestMVHashConcurrentDistinctKeys(t *testing.T) {
 		}(id)
 	}
 	wg.Wait()
+	observeAll(e, e.Worker(0))
 	run(t, e.Worker(0), func(tx *core.Txn) error {
 		for k := 0; k < 4*perWorker; k++ {
 			rid, err := h.Get(tx, uint64(k))

@@ -27,7 +27,7 @@ func (m modelMultimap) firstForKey(key uint64) (storage.RecordID, bool) {
 
 // TestModelBasedMVIndexes drives random operation sequences against both
 // multi-version index types and a model multimap, auditing point lookups
-// and (for the B+-tree) full ordered scans.
+// and (for the B+-tree) node structure and full ordered scans.
 func TestModelBasedMVIndexes(t *testing.T) {
 	for _, kind := range []string{"hash", "btree"} {
 		kind := kind
@@ -93,6 +93,13 @@ func TestModelBasedMVIndexes(t *testing.T) {
 						}
 					}
 				}
+				// The tree's structural invariants hold after every step, and
+				// it holds exactly the model's pairs.
+				if bt, ok := ix.(*MVBTree); ok {
+					if sh := checkTree(t, bt, w); sh.pairs != len(model) {
+						t.Fatalf("step %d: tree holds %d pairs, model %d", step, sh.pairs, len(model))
+					}
+				}
 				// Periodic full-scan audit for the ordered index.
 				if kind == "btree" && step%500 == 499 {
 					var got [][2]uint64
@@ -123,6 +130,30 @@ func TestModelBasedMVIndexes(t *testing.T) {
 							t.Fatalf("step %d: scan[%d] = %v, want %v", step, i, got[i], want[i])
 						}
 					}
+				}
+			}
+			// Drain: the random phase mostly grows the index; deleting what
+			// is left in random order walks the tree back down to an empty
+			// root leaf, freeing every other node on the way.
+			left := make([][2]uint64, 0, len(model))
+			for kv := range model {
+				left = append(left, kv)
+			}
+			sort.Slice(left, func(a, b int) bool { return cmpKV(left[a][0], left[a][1], left[b][0], left[b][1]) < 0 })
+			rng.Shuffle(len(left), func(a, b int) { left[a], left[b] = left[b], left[a] })
+			for i, kv := range left {
+				if err := w.Run(func(tx *core.Txn) error { return ix.Delete(tx, kv[0], storage.RecordID(kv[1])) }); err != nil {
+					t.Fatalf("drain %d: delete %v: %v", i, kv, err)
+				}
+				if bt, ok := ix.(*MVBTree); ok {
+					if sh := checkTree(t, bt, w); sh.pairs != len(left)-i-1 {
+						t.Fatalf("drain %d: tree holds %d pairs, want %d", i, sh.pairs, len(left)-i-1)
+					}
+				}
+			}
+			if bt, ok := ix.(*MVBTree); ok {
+				if sh := checkTree(t, bt, w); sh != (treeShape{height: 1, nodes: 1}) {
+					t.Fatalf("drained tree is %+v", sh)
 				}
 			}
 		})

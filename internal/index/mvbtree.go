@@ -17,8 +17,23 @@ import (
 // validation, so aborted transactions never perturb global index state.
 //
 // Entries are composite (key, val) pairs ordered lexicographically, which
-// supports duplicate keys with distinct record IDs. Deletion is lazy: pairs
-// are removed but nodes are never merged, as in many production trees.
+// supports duplicate keys with distinct record IDs.
+//
+// Nodes have a lifecycle: a split inserts a node record, and Delete frees a
+// node the moment it holds nothing — an emptied leaf, an internal node whose
+// last child went, a root left with a single child — with an ordinary
+// tx.Delete, so the engine's garbage collector hands the record ID back
+// (§3.8) and insert/delete churn runs in constant space. Partly filled
+// nodes are never merged or rebalanced: that would write siblings the
+// operation did not otherwise touch (more conflicts), and it is not needed
+// to bound space, because a node that stays is one that still holds a key.
+//
+// Leaves are chained left to right and Scan follows the chain: one read per
+// leaf and nothing to carry between them. Freeing a leaf therefore rewrites
+// the link in its left neighbour as well as its parent. (Dropping the link
+// and stepping through the parents would spare that write, but Scan would
+// have to keep its descent path, which measured 8–12 % slower on Get and on
+// a 16-row scan.)
 //
 // Node records are 202 bytes — within the 216-byte inline limit, so hot
 // nodes are inlined into their record heads by best-effort inlining.
@@ -26,6 +41,11 @@ const (
 	nodeSize = 202
 	leafCap  = 12 // (key, val) pairs per leaf
 	intCap   = 8  // separators per internal node; children = intCap + 1
+
+	// maxHeight bounds the descent path kept on the stack. Children are only
+	// gained through splits and a split leaves at least five, so a root at
+	// height h took more than 4^(h-2) inserts to grow: 32 is out of reach.
+	maxHeight = 32
 )
 
 // Leaf layout:   [0]=1  [1]=n  [2:10)=next-leaf rid+1  [10:202)=n×(key,val)
@@ -41,11 +61,7 @@ func leafNext(b []byte) (storage.RecordID, bool) {
 	}
 	return storage.RecordID(v - 1), true
 }
-func setLeafNext(b []byte, rid storage.RecordID, ok bool) {
-	if !ok {
-		binary.LittleEndian.PutUint64(b[2:10], 0)
-		return
-	}
+func setLeafNext(b []byte, rid storage.RecordID) {
 	binary.LittleEndian.PutUint64(b[2:10], uint64(rid)+1)
 }
 func leafPair(b []byte, i int) (uint64, uint64) {
@@ -74,14 +90,25 @@ func setIntSep(b []byte, i int, k, v uint64) {
 	binary.LittleEndian.PutUint64(b[off+8:], v)
 }
 
-// wrapNodeErr adds node context to unexpected node-read failures. Aborts are
-// the common case under contention and are passed through untouched so the
-// abort/retry hot path does not allocate an error wrapper.
-func wrapNodeErr(what string, rid storage.RecordID, err error) error {
-	if errors.Is(err, core.ErrAborted) {
+// errTooTall reports a descent deeper than maxHeight, which only a corrupt
+// node table can produce.
+var errTooTall = errors.New("btree: tree taller than maxHeight")
+
+// nodeErr classifies a failed read of a node reached through a child pointer
+// or a leaf link. Aborts pass through untouched so the abort/retry hot path
+// does not allocate a wrapper. A node that is not there was freed by a
+// delete with an earlier timestamp after this transaction read the pointer
+// to it (in a consistent snapshot no pointer dangles): the node holding the
+// pointer changed under the transaction, validation is bound to reject it,
+// and it reports the conflict now so the caller retries.
+func nodeErr(rid storage.RecordID, err error) error {
+	switch {
+	case errors.Is(err, core.ErrAborted):
 		return err
+	case errors.Is(err, core.ErrNotFound):
+		return core.ErrAborted
 	}
-	return fmt.Errorf("btree: %s %d: %w", what, rid, err)
+	return fmt.Errorf("btree: node %d: %w", rid, err)
 }
 
 // cmpKV orders composite (key, val) pairs.
@@ -97,6 +124,52 @@ func cmpKV(k1, v1, k2, v2 uint64) int {
 		return 1
 	}
 	return 0
+}
+
+// childSlot returns the index of the child of internal node b whose range
+// holds (key, val).
+func childSlot(b []byte, key, val uint64) int {
+	n := nodeN(b)
+	i := 0
+	for i < n {
+		sk, sv := intSep(b, i)
+		if cmpKV(key, val, sk, sv) < 0 {
+			break
+		}
+		i++
+	}
+	return i
+}
+
+// removeChild drops child slot i of internal node b and one separator next
+// to it: the one on its left, which hands the child's key range to its left
+// neighbour, or for the leftmost child the one on its right.
+func removeChild(b []byte, i int) {
+	n := nodeN(b)
+	si := i - 1
+	if si < 0 {
+		si = 0
+	}
+	copy(b[2+i*8:2+n*8], b[2+(i+1)*8:2+(n+1)*8])
+	clearBytes(b[2+n*8 : 2+(n+1)*8])
+	copy(b[74+si*16:74+(n-1)*16], b[74+(si+1)*16:74+n*16])
+	clearBytes(b[74+(n-1)*16 : 74+n*16])
+	setNodeN(b, n-1)
+}
+
+// step is one internal node of a descent: the record, the bytes the
+// transaction read, and the child slot taken.
+type step struct {
+	rid  storage.RecordID
+	data []byte
+	slot int
+}
+
+// path is the internal nodes of one root-to-leaf descent, root first. Delete
+// keeps one on its stack to find what to rewrite above an emptied leaf.
+type path struct {
+	n     int
+	steps [maxHeight]step
 }
 
 // MVBTree's meta record (record 0 of the node table) stores the root node's
@@ -147,34 +220,27 @@ func (t *MVBTree) setRoot(tx *core.Txn, rid storage.RecordID) error {
 	return nil
 }
 
-// descendToLeaf walks from the root to the leaf that would contain
-// (key, val), reading every node on the path inside tx.
+// descend walks from node rid down to the leaf whose range holds (key, val),
+// reading every node inside tx and, if p is not nil, appending the internal
+// ones to it.
 //
 //cicada:noalloc
-func (t *MVBTree) descendToLeaf(tx *core.Txn, key, val uint64) (storage.RecordID, []byte, error) {
-	rid, ok, err := t.root(tx)
-	if err != nil {
-		return 0, nil, err
-	}
-	if !ok {
-		return 0, nil, core.ErrNotFound
-	}
+func (t *MVBTree) descend(tx *core.Txn, rid storage.RecordID, key, val uint64, p *path) (storage.RecordID, []byte, error) {
 	for {
 		data, err := tx.Read(t.tbl, rid)
 		if err != nil {
-			return 0, nil, wrapNodeErr("node", rid, err)
+			return 0, nil, nodeErr(rid, err)
 		}
 		if nodeIsLeaf(data) {
 			return rid, data, nil
 		}
-		n := nodeN(data)
-		i := 0
-		for i < n {
-			sk, sv := intSep(data, i)
-			if cmpKV(key, val, sk, sv) < 0 {
-				break
+		i := childSlot(data, key, val)
+		if p != nil {
+			if p.n == maxHeight {
+				return 0, nil, errTooTall
 			}
-			i++
+			p.steps[p.n] = step{rid: rid, data: data, slot: i}
+			p.n++
 		}
 		rid = intChild(data, i)
 	}
@@ -205,10 +271,11 @@ func (t *MVBTree) Get(tx *core.Txn, key uint64) (storage.RecordID, error) {
 //
 //cicada:noalloc
 func (t *MVBTree) Scan(tx *core.Txn, lo, hi uint64, limit int, fn func(key uint64, rid storage.RecordID) bool) error {
-	rid, data, err := t.descendToLeaf(tx, lo, 0)
-	if errors.Is(err, core.ErrNotFound) {
-		return nil // empty tree
+	root, ok, err := t.root(tx)
+	if err != nil || !ok {
+		return err // !ok: empty tree
 	}
+	rid, data, err := t.descend(tx, root, lo, 0, nil)
 	if err != nil {
 		return err
 	}
@@ -231,14 +298,11 @@ func (t *MVBTree) Scan(tx *core.Txn, lo, hi uint64, limit int, fn func(key uint6
 				return nil
 			}
 		}
-		next, ok := leafNext(data)
-		if !ok {
+		if rid, ok = leafNext(data); !ok {
 			return nil
 		}
-		rid = next
-		data, err = tx.Read(t.tbl, rid)
-		if err != nil {
-			return wrapNodeErr("leaf", rid, err)
+		if data, err = tx.Read(t.tbl, rid); err != nil {
+			return nodeErr(rid, err)
 		}
 	}
 }
@@ -298,20 +362,13 @@ func (t *MVBTree) Insert(tx *core.Txn, key uint64, rid storage.RecordID) error {
 func (t *MVBTree) insertRec(tx *core.Txn, rid storage.RecordID, key, val uint64) (sepK, sepV uint64, right storage.RecordID, split bool, err error) {
 	data, err := tx.Read(t.tbl, rid)
 	if err != nil {
-		return 0, 0, 0, false, wrapNodeErr("node", rid, err)
+		return 0, 0, 0, false, nodeErr(rid, err)
 	}
 	if nodeIsLeaf(data) {
 		return t.insertLeaf(tx, rid, data, key, val)
 	}
 	n := nodeN(data)
-	ci := 0
-	for ci < n {
-		sk, sv := intSep(data, ci)
-		if cmpKV(key, val, sk, sv) < 0 {
-			break
-		}
-		ci++
-	}
+	ci := childSlot(data, key, val)
 	childSepK, childSepV, childRight, childSplit, err := t.insertRec(tx, intChild(data, ci), key, val)
 	if err != nil || !childSplit {
 		return 0, 0, 0, false, err
@@ -429,8 +486,7 @@ func (t *MVBTree) insertLeaf(tx *core.Txn, rid storage.RecordID, data []byte, ke
 	rbuf[0] = 1
 	rn := leafCap + 1 - keep
 	setNodeN(rbuf, rn)
-	oldNext, oldOK := leafNext(data)
-	setLeafNext(rbuf, oldNext, oldOK)
+	copy(rbuf[2:10], data[2:10]) // the right half inherits the link
 	for j := 0; j < rn; j++ {
 		setLeafPair(rbuf, j, pairs[keep+j][0], pairs[keep+j][1])
 	}
@@ -438,43 +494,124 @@ func (t *MVBTree) insertLeaf(tx *core.Txn, rid storage.RecordID, data []byte, ke
 	if err != nil {
 		return 0, 0, 0, false, err
 	}
-	clearBytes(lbuf[10:]) // keep flags; next is rewritten below
+	clearBytes(lbuf[10:]) // keep the leaf flag; the link is rewritten below
 	setNodeN(lbuf, keep)
-	setLeafNext(lbuf, rightRid, true)
+	setLeafNext(lbuf, rightRid)
 	for j := 0; j < keep; j++ {
 		setLeafPair(lbuf, j, pairs[j][0], pairs[j][1])
 	}
 	return pairs[keep][0], pairs[keep][1], rightRid, true, nil
 }
 
-// Delete removes (key → rid); ErrNotFound if absent. Leaves are never
-// merged (lazy deletion).
+// Delete removes (key → rid); ErrNotFound if absent. A leaf that still holds
+// a pair is rewritten in place. A non-root leaf whose last pair goes is freed
+// instead, together with whatever its going leaves empty above it (see
+// unlink); the root leaf stays, possibly empty. All of it is staged in tx's
+// write set like a split, so an abort leaves no trace.
 //
 //cicada:noalloc
 func (t *MVBTree) Delete(tx *core.Txn, key uint64, rid storage.RecordID) error {
-	leafRid, data, err := t.descendToLeaf(tx, key, uint64(rid))
-	if errors.Is(err, core.ErrNotFound) {
+	root, ok, err := t.root(tx)
+	if err != nil {
+		return err
+	}
+	if !ok {
 		return core.ErrNotFound
 	}
+	var p path
+	leaf, data, err := t.descend(tx, root, key, uint64(rid), &p)
 	if err != nil {
 		return err
 	}
 	n := nodeN(data)
-	for i := 0; i < n; i++ {
-		k, v := leafPair(data, i)
-		if k == key && v == uint64(rid) {
-			buf, uerr := tx.Update(t.tbl, leafRid, -1)
-			if uerr != nil {
-				return uerr
-			}
-			for j := i; j < n-1; j++ {
-				nk, nv := leafPair(buf, j+1)
-				setLeafPair(buf, j, nk, nv)
-			}
-			setLeafPair(buf, n-1, 0, 0)
-			setNodeN(buf, n-1)
-			return nil
+	i := 0
+	for i < n {
+		if k, v := leafPair(data, i); k == key && v == uint64(rid) {
+			break
 		}
+		i++
 	}
-	return core.ErrNotFound
+	if i == n {
+		return core.ErrNotFound
+	}
+	if n == 1 && p.n > 0 {
+		return t.unlink(tx, leaf, data, &p)
+	}
+	buf, err := tx.Update(t.tbl, leaf, -1)
+	if err != nil {
+		return err
+	}
+	copy(buf[10+i*16:10+(n-1)*16], buf[10+(i+1)*16:10+n*16])
+	setLeafPair(buf, n-1, 0, 0)
+	setNodeN(buf, n-1)
+	return nil
+}
+
+// unlink frees the emptied leaf at the end of p: it hands the leaf's link to
+// the leaf on its left, frees the leaf and every ancestor whose only child
+// it was (the dead spine a FIFO leaves behind its head), and takes the freed
+// subtree out of the lowest ancestor that keeps another child. If that
+// ancestor is the root and a single child is all it keeps, the child becomes
+// the root — and its only child in turn — so an internal root always has two
+// children and the height follows the live keys, not the history.
+//
+// Readers need no fence: a transaction with an earlier timestamp still sees
+// the old parent and the old leaf versions, one with a later timestamp sees
+// neither, and the freed record IDs are reused only after min_rts has passed
+// the delete and every transaction that could hold a pointer has finished
+// (docs/CONCURRENCY.md "B+-tree node frees").
+//
+//cicada:noalloc
+func (t *MVBTree) unlink(tx *core.Txn, leaf storage.RecordID, data []byte, p *path) error {
+	// The left neighbour is the rightmost leaf under the nearest left
+	// sibling on the path (no separator sorts above the maximal pair); the
+	// tree's leftmost leaf has none.
+	lvl := p.n - 1
+	for lvl >= 0 && p.steps[lvl].slot == 0 {
+		lvl--
+	}
+	if lvl >= 0 {
+		prev, _, err := t.descend(tx, intChild(p.steps[lvl].data, p.steps[lvl].slot-1), ^uint64(0), ^uint64(0), nil)
+		if err != nil {
+			return err
+		}
+		buf, err := tx.Update(t.tbl, prev, -1)
+		if err != nil {
+			return err
+		}
+		copy(buf[2:10], data[2:10]) // before Delete hands data's buffer back
+	}
+	if err := tx.Delete(t.tbl, leaf); err != nil {
+		return err
+	}
+	lvl = p.n - 1
+	for lvl > 0 && nodeN(p.steps[lvl].data) == 0 {
+		if err := tx.Delete(t.tbl, p.steps[lvl].rid); err != nil {
+			return err
+		}
+		lvl--
+	}
+	s := &p.steps[lvl]
+	if lvl > 0 || nodeN(s.data) > 1 {
+		buf, err := tx.Update(t.tbl, s.rid, -1)
+		if err != nil {
+			return err
+		}
+		removeChild(buf, s.slot)
+		return nil
+	}
+	dead, heir := s.rid, intChild(s.data, 1-s.slot)
+	for {
+		if err := tx.Delete(t.tbl, dead); err != nil {
+			return err
+		}
+		data, err := tx.Read(t.tbl, heir)
+		if err != nil {
+			return nodeErr(heir, err)
+		}
+		if nodeIsLeaf(data) || nodeN(data) > 0 {
+			return t.setRoot(tx, heir)
+		}
+		dead, heir = heir, intChild(data, 0)
+	}
 }
