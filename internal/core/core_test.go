@@ -598,6 +598,40 @@ func TestWriteAfterPromotingReadIsLogged(t *testing.T) {
 	}
 }
 
+// TestStale: a transaction is stale once a record it read has a newer
+// committed version below its timestamp, which is what its commit would
+// find, and not before.
+func TestStale(t *testing.T) {
+	e := newTestEngine(2, nil)
+	tbl := e.CreateTable("t")
+	w0, w1 := e.Worker(0), e.Worker(1)
+	rid := mustInsert(t, w0, tbl, []byte("v0"))
+
+	writer := w0.Begin() // the earlier timestamp
+	w1.ObserveTimestamp(writer.Timestamp())
+	reader := w1.Begin()
+	if _, err := reader.Read(tbl, rid); err != nil {
+		t.Fatal(err)
+	}
+	if reader.Stale() {
+		t.Fatal("stale before anything changed")
+	}
+	buf, err := writer.Update(tbl, rid, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "v1")
+	if err := writer.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if !reader.Stale() {
+		t.Fatal("not stale after an earlier writer replaced what was read")
+	}
+	if err := reader.Commit(); !errors.Is(err, ErrAborted) {
+		t.Fatalf("stale reader committed: %v", err)
+	}
+}
+
 func TestInliningDisabled(t *testing.T) {
 	e := newTestEngine(1, func(o *Options) { o.Inlining = false })
 	tbl := e.CreateTable("t")

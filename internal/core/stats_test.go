@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -406,54 +405,5 @@ func TestTelemetryGCAndPromotion(t *testing.T) {
 	vals := reg.Values()
 	if got := vals["cicada_gc_reclaimed_versions_total"]; got == 0 {
 		t.Errorf("no versions reclaimed (stats: %v)", fmt.Sprint(vals))
-	}
-}
-
-// TestRTSRaisedAfterFinalCheck pins the interleaving behind the former
-// "read-after cross" invariant trips (docs/CONCURRENCY.md): a later reader
-// raises the rts of the version a writer is replacing after the writer's
-// final consistency check but before its write phase. The writer commits
-// over an rts above its own timestamp, and that is sound, because the reader
-// then meets the writer's version in its own consistency check and aborts.
-func TestRTSRaisedAfterFinalCheck(t *testing.T) {
-	e := newTestEngine(2, nil)
-	tbl := e.CreateTable("t")
-	w0, w1 := e.Worker(0), e.Worker(1)
-	rid := mustInsert(t, w0, tbl, []byte("v0"))
-
-	writer := w0.Begin()
-	w1.ObserveTimestamp(writer.Timestamp())
-	reader := w1.Begin()
-	if d, err := reader.Read(tbl, rid); err != nil || string(d) != "v0" {
-		t.Fatalf("reader: %q %v", d, err)
-	}
-	buf, err := writer.Update(tbl, rid, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(buf, "v1")
-
-	entered := make(chan clock.Timestamp, 1)
-	release := make(chan struct{})
-	e.SetLogger(blockingLogger{entered: entered, release: release})
-	writerDone := make(chan error, 1)
-	go func() { writerDone <- writer.Commit() }()
-	<-entered // the writer passed its final check; its version is PENDING
-
-	readerDone := make(chan error, 1)
-	go func() { readerDone <- reader.Commit() }()
-	h := tbl.Storage().Head(rid)
-	for v0 := h.Latest().Next(); v0.RTS() < reader.Timestamp(); {
-		runtime.Gosched() // until the reader has raised v0's rts and waits on v1
-	}
-	close(release)
-	if err := <-writerDone; err != nil {
-		t.Fatalf("writer: %v", err)
-	}
-	if err := <-readerDone; !errors.Is(err, ErrAborted) {
-		t.Fatalf("reader that read the replaced version: %v", err)
-	}
-	if got := mustRead(t, w0, tbl, rid); string(got) != "v1" {
-		t.Fatalf("record holds %q", got)
 	}
 }

@@ -148,6 +148,13 @@ func (t *Txn) Commit() error {
 		if a.newVer == nil {
 			continue
 		}
+		if invariantsEnabled && a.installed && !opts.NoWaitPending {
+			// At the moment a pending version commits, the committed version
+			// below it must not have been read beyond tx.ts (§3.4). Under
+			// NoWaitPending speculative readers may violate this and abort
+			// later instead, so the check is skipped there.
+			storage.CheckCommitOrder(a.newVer, "commit")
+		}
 		if a.kind == accDelete {
 			a.newVer.SetStatus(storage.StatusDeleted)
 		} else {
@@ -450,6 +457,11 @@ func firstCommitted(v *storage.Version) *storage.Version {
 	}
 	return nil
 }
+
+// Stale reports whether validation would reject the transaction as it
+// stands. An index asks it when a node pointer dangles: in a doomed snapshot
+// that is a conflict to retry, in a current one the structure is broken.
+func (t *Txn) Stale() bool { return !t.checkVersionConsistency() }
 
 // checkVersionConsistency verifies (a) that every previously visible version
 // in the read set is still the currently visible version, and (b) that the

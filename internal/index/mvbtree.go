@@ -30,10 +30,12 @@ import (
 //
 // Leaves are chained left to right and Scan follows the chain: one read per
 // leaf and nothing to carry between them. Freeing a leaf therefore rewrites
-// the link in its left neighbour as well as its parent. (Dropping the link
-// and stepping through the parents would spare that write, but Scan would
-// have to keep its descent path, which measured 8–12 % slower on Get and on
-// a 16-row scan.)
+// the link in its left neighbour as well as its parent — one write to a
+// sibling per emptied leaf (none for the leftmost leaf, a queue's head), where
+// rebalancing would write one on most deletes. Dropping the link and stepping through
+// the parents would spare that write, but every Get and Scan would have to
+// keep its descent path: 6 % fewer queue transactions per second, slower in
+// 10 of 10 interleaved runs (CHANGES.md, PR 18).
 //
 // Node records are 202 bytes — within the 216-byte inline limit, so hot
 // nodes are inlined into their record heads by best-effort inlining.
@@ -97,18 +99,20 @@ var errTooTall = errors.New("btree: tree taller than maxHeight")
 // nodeErr classifies a failed read of a node reached through a child pointer
 // or a leaf link. Aborts pass through untouched so the abort/retry hot path
 // does not allocate a wrapper. A node that is not there was freed by a
-// delete with an earlier timestamp after this transaction read the pointer
-// to it (in a consistent snapshot no pointer dangles): the node holding the
-// pointer changed under the transaction, validation is bound to reject it,
-// and it reports the conflict now so the caller retries.
-func nodeErr(rid storage.RecordID, err error) error {
-	switch {
-	case errors.Is(err, core.ErrAborted):
+// delete with an earlier timestamp after tx read the pointer to it: the node
+// holding the pointer changed under tx, tx.Stale says so, and the conflict
+// is reported now so the caller retries. In a snapshot that is still current
+// no pointer dangles, so there the missing node is an error to surface, not
+// something to retry forever — and not one that wraps ErrNotFound, which
+// callers (Insert's uniqueness probe among them) read as "no such key".
+func nodeErr(tx *core.Txn, rid storage.RecordID, err error) error {
+	if errors.Is(err, core.ErrAborted) {
 		return err
-	case errors.Is(err, core.ErrNotFound):
+	}
+	if errors.Is(err, core.ErrNotFound) && tx.Stale() {
 		return core.ErrAborted
 	}
-	return fmt.Errorf("btree: node %d: %w", rid, err)
+	return fmt.Errorf("btree: node %d: %v", rid, err)
 }
 
 // cmpKV orders composite (key, val) pairs.
@@ -229,7 +233,7 @@ func (t *MVBTree) descend(tx *core.Txn, rid storage.RecordID, key, val uint64, p
 	for {
 		data, err := tx.Read(t.tbl, rid)
 		if err != nil {
-			return 0, nil, nodeErr(rid, err)
+			return 0, nil, nodeErr(tx, rid, err)
 		}
 		if nodeIsLeaf(data) {
 			return rid, data, nil
@@ -302,7 +306,7 @@ func (t *MVBTree) Scan(tx *core.Txn, lo, hi uint64, limit int, fn func(key uint6
 			return nil
 		}
 		if data, err = tx.Read(t.tbl, rid); err != nil {
-			return nodeErr(rid, err)
+			return nodeErr(tx, rid, err)
 		}
 	}
 }
@@ -362,7 +366,7 @@ func (t *MVBTree) Insert(tx *core.Txn, key uint64, rid storage.RecordID) error {
 func (t *MVBTree) insertRec(tx *core.Txn, rid storage.RecordID, key, val uint64) (sepK, sepV uint64, right storage.RecordID, split bool, err error) {
 	data, err := tx.Read(t.tbl, rid)
 	if err != nil {
-		return 0, 0, 0, false, nodeErr(rid, err)
+		return 0, 0, 0, false, nodeErr(tx, rid, err)
 	}
 	if nodeIsLeaf(data) {
 		return t.insertLeaf(tx, rid, data, key, val)
@@ -607,7 +611,7 @@ func (t *MVBTree) unlink(tx *core.Txn, leaf storage.RecordID, data []byte, p *pa
 		}
 		data, err := tx.Read(t.tbl, heir)
 		if err != nil {
-			return nodeErr(heir, err)
+			return nodeErr(tx, heir, err)
 		}
 		if nodeIsLeaf(data) || nodeN(data) > 0 {
 			return t.setRoot(tx, heir)

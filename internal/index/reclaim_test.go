@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cicada/internal/core"
@@ -625,5 +626,33 @@ func TestMVBTreeConcurrentPairWriters(t *testing.T) {
 	observeAll(e, e.Worker(0))
 	if sh := checkTree(t, tr, e.Worker(0)); sh.pairs%2 != 0 {
 		t.Errorf("tree ends with %d pairs", sh.pairs)
+	}
+}
+
+// TestMVBTreeDanglingPointerIsAnError breaks a tree on purpose — a leaf's
+// record is deleted behind the tree's back, its parent still names it — and
+// checks that the reader, whose snapshot is current, gets an error naming
+// the node: not an abort that Worker.Run would retry forever, and not an
+// ErrNotFound that says the key is absent.
+func TestMVBTreeDanglingPointerIsAnError(t *testing.T) {
+	e, tr := ascendingTree(t, 40)
+	w := e.Worker(0)
+	run(t, w, func(tx *core.Txn) error {
+		root, _, err := tr.root(tx)
+		if err != nil {
+			return err
+		}
+		leaf, _, err := tr.descend(tx, root, 17, 0, nil)
+		if err != nil {
+			return err
+		}
+		return tx.Delete(tr.tbl, leaf)
+	})
+	err := w.Run(func(tx *core.Txn) error {
+		_, err := tr.Get(tx, 17)
+		return err
+	})
+	if err == nil || errors.Is(err, core.ErrAborted) || errors.Is(err, core.ErrNotFound) || !strings.Contains(err.Error(), "btree: node") {
+		t.Fatalf("get through a dangling pointer: %v", err)
 	}
 }

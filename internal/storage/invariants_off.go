@@ -12,3 +12,6 @@ func Assertf(cond bool, format string, args ...any) {}
 
 // CheckChainSorted is a no-op in builds without the cicada_invariants tag.
 func CheckChainSorted(v *Version, where string) {}
+
+// CheckCommitOrder is a no-op in builds without the cicada_invariants tag.
+func CheckCommitOrder(nv *Version, where string) {}

@@ -38,3 +38,19 @@ func CheckChainSorted(v *Version, where string) {
 		}
 	}
 }
+
+// CheckCommitOrder asserts that the first committed version below nv has not
+// been read at a timestamp beyond nv's write timestamp. This is exactly what
+// validation guarantees at the moment a pending version flips to COMMITTED
+// (§3.4); it does not hold in NoWaitPending mode, where speculative readers
+// may raise rts above a pending version and abort later instead.
+func CheckCommitOrder(nv *Version, where string) {
+	for v := nv.Next(); v != nil; v = v.Next() {
+		switch v.Status() {
+		case StatusCommitted, StatusDeleted:
+			Assertf(v.RTS() <= nv.WTS,
+				"%s: committing wts %v over version with rts %v (read-after cross)", where, nv.WTS, v.RTS())
+			return
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package storage
 
-import "testing"
+import (
+	"testing"
+
+	"cicada/internal/clock"
+)
 
 // TestInvariantAssertionsFire verifies the cicada_invariants hooks actually
 // detect violations when compiled in (go test -tags cicada_invariants); in
@@ -25,6 +29,7 @@ func TestInvariantAssertionsFire(t *testing.T) {
 		n.PrepareInstall(9) // out of order below v
 		v.SetNext(n)
 		CheckChainSorted(v, "test")
+		CheckCommitOrder(v, "test")
 		return
 	}
 
@@ -39,6 +44,17 @@ func TestInvariantAssertionsFire(t *testing.T) {
 		CheckChainSorted(v, "test")
 	})
 
+	mustPanic("CheckCommitOrder", func() {
+		nv := NewVersion(0)
+		nv.PrepareInstall(5)
+		below := NewVersion(0)
+		below.PrepareInstall(3)
+		below.SetStatus(StatusCommitted)
+		below.SetRTS(clock.Timestamp(8)) // read beyond nv's wts
+		nv.SetNext(below)
+		CheckCommitOrder(nv, "test")
+	})
+
 	// And the checks accept valid states.
 	v := NewVersion(0)
 	v.PrepareInstall(9)
@@ -47,4 +63,5 @@ func TestInvariantAssertionsFire(t *testing.T) {
 	n.SetStatus(StatusCommitted)
 	v.SetNext(n)
 	CheckChainSorted(v, "test")
+	CheckCommitOrder(v, "test")
 }

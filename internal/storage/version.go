@@ -97,6 +97,10 @@ func (v *Version) RaiseRTS(ts clock.Timestamp) {
 	}
 }
 
+// SetRTS unconditionally stores the read timestamp. It is used during
+// version creation before the version is reachable.
+func (v *Version) SetRTS(ts clock.Timestamp) { v.rts.Store(uint64(ts)) }
+
 // PrepareInstall initializes the version's timestamp words for installation
 // at ts: wts = rts = ts, status = PENDING. It is the only sanctioned way to
 // write WTS outside this package; it must run before the version becomes
