@@ -53,8 +53,9 @@ bench:
 # PR gate: allocation-budget tests plus a one-iteration benchmark compile/run
 # pass. Catches hot-path regressions without CI-length benchmark runs.
 bench-smoke:
-	$(GO) test -run 'AllocBudget|ExecAllocs|TestRepeated' $(BENCH_PKGS) ./internal/server ./internal/client
+	$(GO) test -run 'AllocBudget|ExecAllocs|TestRepeated' . $(BENCH_PKGS) ./internal/server ./internal/client
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem $(BENCH_PKGS)
+	$(GO) test -run '^$$' -bench PublicRun -benchtime 1x -benchmem .
 
 # Scalability-regression gate (docs/PERFORMANCE.md): re-run the 2-thread
 # uniform-YCSB sweep and fail if the speedup over 1 thread falls below the

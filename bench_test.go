@@ -69,6 +69,21 @@ func trimFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', 3, 64)
 }
 
+// BenchmarkPublicRunRMW4 is the public-API rung's microbenchmark: a 4-request
+// 50 % read-modify-write transaction through HashIndex.Get and Worker.Run on
+// one worker (docs/PERFORMANCE.md "Transaction envelope").
+func BenchmarkPublicRunRMW4(b *testing.B) {
+	r := newRMW4(b, 1)
+	w := r.db.Worker(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := w.Run(r.readWrite); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFig3_TPCC_Contended: TPC-C full mix with phantom avoidance,
 // 1 warehouse (Figure 3a).
 func BenchmarkFig3_TPCC_Contended(b *testing.B) {

@@ -151,10 +151,11 @@ func DefaultConfig(n int) Config {
 
 // DB is a Cicada database instance.
 type DB struct {
-	eng    *core.Engine
-	wal    *wal.Manager
-	reg    *telemetry.Registry
-	tracer *trace.Tracer
+	eng     *core.Engine
+	workers []Worker
+	wal     *wal.Manager
+	reg     *telemetry.Registry
+	tracer  *trace.Tracer
 }
 
 // Open creates a database. Tables and indexes must be created before
@@ -203,6 +204,11 @@ func Open(cfg Config) *DB {
 		}
 	}
 	db.eng = core.NewEngine(opts)
+	db.workers = make([]Worker, cfg.Workers)
+	for i := range db.workers {
+		cw := db.eng.Worker(i)
+		db.workers[i] = Worker{w: cw, tx: Txn{t: cw.Txn()}}
+	}
 	return db
 }
 
@@ -222,9 +228,7 @@ func (db *DB) CreateTable(name string) *Table {
 
 // Worker returns the execution handle for worker id ∈ [0, Workers). Each
 // Worker must be used by at most one goroutine at a time.
-func (db *DB) Worker(id int) *Worker {
-	return &Worker{w: db.eng.Worker(id)}
-}
+func (db *DB) Worker(id int) *Worker { return &db.workers[id] }
 
 // Workers returns the configured worker count.
 func (db *DB) Workers() int { return db.eng.Options().Workers }
@@ -353,6 +357,9 @@ func (s Stats) AbortRate() float64 {
 // Worker is a per-thread execution context.
 type Worker struct {
 	w *core.Worker
+	// tx is the one transaction handle every Run* passes to fn, bound at
+	// Open to the core worker's reusable transaction.
+	tx Txn
 }
 
 // ID returns the worker's thread ID.
@@ -361,9 +368,11 @@ func (w *Worker) ID() int { return w.w.ID() }
 // Run executes fn in a read-write transaction, retrying on ErrAborted with
 // contention-regulated backoff. Returning any other error rolls back and
 // returns it. fn may run multiple times.
+//
+//cicada:noalloc
 func (w *Worker) Run(fn func(tx *Txn) error) error {
-	return w.w.Run(func(ct *core.Txn) error {
-		return fn(&Txn{t: ct})
+	return w.w.Run(func(*core.Txn) error {
+		return fn(&w.tx)
 	})
 }
 
@@ -373,9 +382,11 @@ func (w *Worker) Run(fn func(tx *Txn) error) error {
 // behaves like Run. The network server (internal/server) uses this to
 // bound per-request work and surface the abort taxonomy as wire error
 // codes (docs/PROTOCOL.md).
+//
+//cicada:noalloc
 func (w *Worker) RunLimited(fn func(tx *Txn) error, maxAttempts int) error {
-	return w.w.RunLimited(func(ct *core.Txn) error {
-		return fn(&Txn{t: ct})
+	return w.w.RunLimited(func(*core.Txn) error {
+		return fn(&w.tx)
 	}, maxAttempts)
 }
 
@@ -383,9 +394,11 @@ func (w *Worker) RunLimited(fn func(tx *Txn) error, maxAttempts int) error {
 // worker's read timestamp: it sees a recent consistent snapshot (staleness
 // on the order of the maintenance interval, §3.1/§4.6), performs no read
 // validation, and cannot abort due to conflicts.
+//
+//cicada:noalloc
 func (w *Worker) RunReadOnly(fn func(tx *Txn) error) error {
-	return w.w.RunRO(func(ct *core.Txn) error {
-		return fn(&Txn{t: ct})
+	return w.w.RunRO(func(*core.Txn) error {
+		return fn(&w.tx)
 	})
 }
 
@@ -394,9 +407,11 @@ func (w *Worker) RunReadOnly(fn func(tx *Txn) error) error {
 // than this commit, so acknowledgment order matches serialization order
 // even across disjoint access sets. Adds roughly the maintenance interval
 // of latency; all workers must keep running maintenance.
+//
+//cicada:noalloc
 func (w *Worker) RunExternal(fn func(tx *Txn) error) error {
-	return w.w.RunExternal(func(ct *core.Txn) error {
-		return fn(&Txn{t: ct})
+	return w.w.RunExternal(func(*core.Txn) error {
+		return fn(&w.tx)
 	})
 }
 
@@ -431,7 +446,9 @@ func (w *Worker) SnapshotTimestamp() Timestamp { return w.w.SnapshotTS() }
 func (w *Worker) Stats() Stats { return statsFromCore(w.w.Stats()) }
 
 // Txn is a transaction. All operations must happen on the worker's
-// goroutine between Run's invocation and return.
+// goroutine between Run's invocation and return. The handle belongs to the
+// worker, which passes the same one to every fn: it is dead once fn returns
+// and must not be retained or used after that.
 type Txn struct {
 	t *core.Txn
 }

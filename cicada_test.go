@@ -61,9 +61,11 @@ func TestPublicAPIBTreeAndSnapshot(t *testing.T) {
 	tbl := db.CreateTable("t")
 	bt := db.CreateBTreeIndex("t_by_key", false)
 	w := db.Worker(0)
+	var loaded cicada.Timestamp
 	for k := uint64(0); k < 100; k++ {
 		k := k
 		if err := w.Run(func(tx *cicada.Txn) error {
+			loaded = tx.Timestamp()
 			rid, buf, err := tx.Insert(tbl, 8)
 			if err != nil {
 				return err
@@ -74,8 +76,10 @@ func TestPublicAPIBTreeAndSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Let the snapshot horizon catch up, then scan read-only.
-	for i := 0; i < 100; i++ {
+	// Let the snapshot horizon pass the load, then scan read-only. The
+	// horizon moves one step per GCInterval however often Idle is called, so
+	// wait for the event rather than for a number of calls.
+	for db.Worker(1).SnapshotTimestamp() < loaded {
 		db.Worker(0).Idle()
 		db.Worker(1).Idle()
 	}
@@ -184,6 +188,7 @@ func TestPublicAPIConcurrentWorkers(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	const per = 100
+	var last [workers]cicada.Timestamp
 	for id := 0; id < workers; id++ {
 		wg.Add(1)
 		go func(id int) {
@@ -191,6 +196,7 @@ func TestPublicAPIConcurrentWorkers(t *testing.T) {
 			w := db.Worker(id)
 			for i := 0; i < per; i++ {
 				if err := w.Run(func(tx *cicada.Txn) error {
+					last[id] = tx.Timestamp()
 					buf, err := tx.Update(tbl, rid, -1)
 					if err != nil {
 						return err
@@ -205,6 +211,11 @@ func TestPublicAPIConcurrentWorkers(t *testing.T) {
 		}(id)
 	}
 	wg.Wait()
+	// Worker clocks are only loosely synchronized: serialize the audit after
+	// every worker's last commit, or it may read an older, correct snapshot.
+	for _, ts := range last {
+		db.Worker(0).ObserveTimestamp(ts)
+	}
 	// ReadDirect reads at the snapshot horizon, which may lag; the final
 	// audit uses a read-write transaction for an up-to-date view.
 	if d0, ok := db.Worker(0).ReadDirect(tbl, rid); ok && binary.LittleEndian.Uint64(d0) > workers*per {

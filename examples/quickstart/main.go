@@ -51,7 +51,9 @@ func main() {
 	}
 
 	// A read-modify-write with read-own-writes: birthday for user 3.
+	var birthday cicada.Timestamp
 	err := w.Run(func(tx *cicada.Txn) error {
+		birthday = tx.Timestamp()
 		rid, err := byID.Get(tx, 3)
 		if err != nil {
 			return err
@@ -78,9 +80,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Advance the snapshot horizon, then scan ages 30–55 in a read-only
-	// snapshot transaction (never aborts, never validates).
-	for i := 0; i < 100; i++ {
+	// Idle workers keep the snapshot horizon moving, one step per GC
+	// interval; once it has passed the birthday, scan ages 30–55 in a
+	// read-only snapshot transaction (never aborts, never validates).
+	for db.Worker(1).SnapshotTimestamp() < birthday {
 		db.Worker(0).Idle()
 		db.Worker(1).Idle()
 	}

@@ -118,10 +118,11 @@ type workerClock struct {
 	lastAdjusted uint64
 	// boost is the temporary clock boost in ticks; owner-only.
 	boost uint64
-	// lastTick is the wall time of the last clock increment; owner-only.
-	lastTick time.Time
-	// lastSync is the wall time of the last one-sided synchronization.
-	lastSync time.Time
+	// lastTick is the reading (Domain.Now) of the last clock increment;
+	// owner-only.
+	lastTick int64
+	// lastSync is the reading of the last one-sided synchronization.
+	lastSync int64
 	// syncTarget is the next round-robin synchronization peer.
 	syncTarget int
 	// wts is the worker's last allocated write timestamp (atomic: leader
@@ -150,7 +151,8 @@ type Domain struct {
 	_       [56]byte
 	central atomic.Uint64
 	_       [56]byte
-	// start anchors all clocks so they begin near zero.
+	// start anchors the time base: every reading is nanoseconds since it,
+	// so all clocks begin near zero.
 	start time.Time
 }
 
@@ -170,8 +172,6 @@ func NewDomain(n int, opts Options) *Domain {
 	for i := range d.workers {
 		w := &d.workers[i]
 		w.clock.Store(1)
-		w.lastTick = d.start
-		w.lastSync = d.start
 		w.syncTarget = (i + 1) % n
 		w.wts.Store(uint64(Compose(1, i)))
 		w.rts.Store(0)
@@ -188,15 +188,24 @@ func (d *Domain) Workers() int { return len(d.workers) }
 // Centralized reports whether the domain allocates from a shared counter.
 func (d *Domain) Centralized() bool { return d.opts.Centralized }
 
-// tick advances worker w's local clock by the locally measured elapsed time,
-// clamped to (0, MaxIncrement]. It returns the new clock value.
-func (d *Domain) tick(w *workerClock) uint64 {
-	now := time.Now()
-	elapsed := now.Sub(w.lastTick)
+// Now returns a reading of the domain's time base: monotonic nanoseconds
+// since the domain was created, at the cost of one vDSO call. Callers take
+// one reading per phase boundary and hand it to everything that boundary
+// feeds (NewWriteTimestamp, MaybeSync, and the engine's own bookkeeping).
+func (d *Domain) Now() int64 { return int64(time.Since(d.start)) }
+
+// Time converts a reading back to the wall-clock time it was taken at.
+func (d *Domain) Time(now int64) time.Time { return d.start.Add(time.Duration(now)) }
+
+// tick advances worker w's local clock by the time elapsed between its
+// previous reading and now, clamped to (0, MaxIncrement]. It returns the new
+// clock value.
+func (d *Domain) tick(w *workerClock, now int64) uint64 {
+	elapsed := now - w.lastTick
 	if elapsed <= 0 {
 		elapsed = 1
-	} else if elapsed > d.opts.MaxIncrement {
-		elapsed = d.opts.MaxIncrement
+	} else if elapsed > int64(d.opts.MaxIncrement) {
+		elapsed = int64(d.opts.MaxIncrement)
 	}
 	w.lastTick = now
 	c := w.clock.Load() + uint64(elapsed)
@@ -205,10 +214,11 @@ func (d *Domain) tick(w *workerClock) uint64 {
 }
 
 // NewWriteTimestamp allocates the timestamp for a new read-write transaction
-// on worker id. It increments the local clock, applies any abort boost, and
-// forces the adjusted clock above the previously issued one so the worker's
-// timestamps are strictly monotonic.
-func (d *Domain) NewWriteTimestamp(id int) Timestamp {
+// on worker id, beginning at reading now. It increments the local clock,
+// applies any abort boost, and forces the adjusted clock above the previously
+// issued one so the worker's timestamps are strictly monotonic even when two
+// transactions share a reading.
+func (d *Domain) NewWriteTimestamp(id int, now int64) Timestamp {
 	if d.opts.Centralized {
 		// Conventional MVCC allocation: one atomic fetch-add on shared
 		// memory per transaction.
@@ -218,7 +228,7 @@ func (d *Domain) NewWriteTimestamp(id int) Timestamp {
 		return ts
 	}
 	w := &d.workers[id]
-	c := d.tick(w)
+	c := d.tick(w, now)
 	adjusted := c + w.boost
 	if adjusted <= w.lastAdjusted {
 		adjusted = w.lastAdjusted + 1
@@ -253,12 +263,11 @@ func (d *Domain) OnCommit(id int) {
 }
 
 // MaybeSync performs one-sided clock synchronization for worker id if
-// SyncInterval has elapsed since its last synchronization. It returns true
-// if a synchronization was attempted.
-func (d *Domain) MaybeSync(id int) bool {
+// SyncInterval has elapsed between its last synchronization and reading now.
+// It returns true if a synchronization was attempted.
+func (d *Domain) MaybeSync(id int, now int64) bool {
 	w := &d.workers[id]
-	now := time.Now()
-	if now.Sub(w.lastSync) < d.opts.SyncInterval {
+	if now-w.lastSync < int64(d.opts.SyncInterval) {
 		return false
 	}
 	w.lastSync = now
@@ -291,12 +300,6 @@ func (d *Domain) RefreshRead(id int) {
 	if rts > w.rts.Load() {
 		w.rts.Store(rts)
 	}
-}
-
-// RefreshIdle advances worker id's write timestamp without beginning a
-// transaction so that an idle worker does not stall min_wts.
-func (d *Domain) RefreshIdle(id int) {
-	d.NewWriteTimestamp(id)
 }
 
 // UpdateMins recomputes min_wts and min_rts from all workers' published

@@ -39,7 +39,7 @@ func TestPerWorkerMonotonic(t *testing.T) {
 	for id := 0; id < 4; id++ {
 		prev := Timestamp(0)
 		for i := 0; i < 10000; i++ {
-			ts := d.NewWriteTimestamp(id)
+			ts := d.NewWriteTimestamp(id, d.Now())
 			if ts <= prev {
 				t.Fatalf("worker %d: timestamp %v not after %v", id, ts, prev)
 			}
@@ -48,6 +48,49 @@ func TestPerWorkerMonotonic(t *testing.T) {
 			}
 			prev = ts
 		}
+	}
+}
+
+// TestSameReadingStillMonotonic: the envelope hands one reading to several
+// consumers, so two allocations may see the same one; timestamps must still
+// be strictly increasing.
+func TestSameReadingStillMonotonic(t *testing.T) {
+	d := NewDomain(2, Options{})
+	now := d.Now()
+	first := d.NewWriteTimestamp(0, now)
+	second := d.NewWriteTimestamp(0, now)
+	if second <= first {
+		t.Fatalf("same reading: timestamp %v not after %v", second, first)
+	}
+}
+
+// TestReadingJumpClamped: a reading that jumps past MaxIncrement advances the
+// clock by exactly MaxIncrement.
+func TestReadingJumpClamped(t *testing.T) {
+	d := NewDomain(1, Options{MaxIncrement: time.Millisecond})
+	base := d.NewWriteTimestamp(0, 10)
+	jumped := d.NewWriteTimestamp(0, 10+int64(time.Hour))
+	if got := jumped.ClockValue() - base.ClockValue(); got != uint64(time.Millisecond) {
+		t.Fatalf("clock advanced %d ticks over a 1 h jump; want MaxIncrement = %d", got, time.Millisecond)
+	}
+}
+
+// TestMaybeSyncOncePerInterval: synchronization fires once per SyncInterval
+// of the supplied readings and not before.
+func TestMaybeSyncOncePerInterval(t *testing.T) {
+	const interval = 100 * time.Microsecond
+	d := NewDomain(2, Options{SyncInterval: interval})
+	fired := 0
+	for now := int64(0); now <= int64(10*interval); now += int64(interval / 4) {
+		if d.MaybeSync(0, now) {
+			fired++
+			if now%int64(interval) != 0 || now == 0 {
+				t.Fatalf("sync fired at reading %d, inside an interval", now)
+			}
+		}
+	}
+	if fired != 10 {
+		t.Fatalf("sync fired %d times over 10 intervals; want 10", fired)
 	}
 }
 
@@ -63,7 +106,7 @@ func TestUniqueAcrossWorkers(t *testing.T) {
 			defer wg.Done()
 			out := make([]Timestamp, 0, perWorker)
 			for i := 0; i < perWorker; i++ {
-				out = append(out, d.NewWriteTimestamp(id))
+				out = append(out, d.NewWriteTimestamp(id, d.Now()))
 			}
 			results[id] = out
 		}(id)
@@ -95,7 +138,7 @@ func TestCentralizedUnique(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				ts := d.NewWriteTimestamp(id)
+				ts := d.NewWriteTimestamp(id, d.Now())
 				mu.Lock()
 				if _, dup := seen[ts]; dup {
 					mu.Unlock()
@@ -112,16 +155,16 @@ func TestCentralizedUnique(t *testing.T) {
 
 func TestBoostRaisesTimestamp(t *testing.T) {
 	d := NewDomain(2, Options{Boost: time.Millisecond})
-	base := d.NewWriteTimestamp(0)
+	base := d.NewWriteTimestamp(0, d.Now())
 	d.OnAbort(0)
-	boosted := d.NewWriteTimestamp(0)
+	boosted := d.NewWriteTimestamp(0, d.Now())
 	// The boosted timestamp must jump by at least the boost amount minus the
 	// natural tick (which is tiny compared to 1ms).
 	if boosted.ClockValue()-base.ClockValue() < uint64(time.Millisecond)/2 {
 		t.Fatalf("boost not applied: base %v boosted %v", base, boosted)
 	}
 	d.OnCommit(0)
-	after := d.NewWriteTimestamp(0)
+	after := d.NewWriteTimestamp(0, d.Now())
 	if after.ClockValue()-boosted.ClockValue() >= uint64(time.Millisecond)/2 {
 		t.Fatalf("boost not cleared: boosted %v after %v", boosted, after)
 	}
@@ -134,7 +177,7 @@ func TestOneSidedSyncCatchesUp(t *testing.T) {
 	before := d.workers[0].clock.Load()
 	// Worker 0 syncs round-robin; with 2 workers its first target is 1.
 	time.Sleep(time.Microsecond)
-	if !d.MaybeSync(0) {
+	if !d.MaybeSync(0, d.Now()) {
 		t.Fatal("sync did not trigger")
 	}
 	after := d.workers[0].clock.Load()
@@ -147,7 +190,7 @@ func TestSyncNeverPullsBack(t *testing.T) {
 	d := NewDomain(2, Options{SyncInterval: time.Nanosecond})
 	d.workers[0].clock.Store(uint64(10 * time.Second))
 	time.Sleep(time.Microsecond)
-	d.MaybeSync(0) // remote clock (worker 1) is behind
+	d.MaybeSync(0, d.Now()) // remote clock (worker 1) is behind
 	if got := d.workers[0].clock.Load(); got < uint64(10*time.Second) {
 		t.Fatalf("fast clock pulled back to %d", got)
 	}
@@ -157,7 +200,7 @@ func TestMinWTSNeverExceedsActive(t *testing.T) {
 	d := NewDomain(4, Options{})
 	var tss [4]Timestamp
 	for id := 0; id < 4; id++ {
-		tss[id] = d.NewWriteTimestamp(id)
+		tss[id] = d.NewWriteTimestamp(id, d.Now())
 	}
 	minW, minR := d.UpdateMins()
 	for id := 0; id < 4; id++ {
@@ -174,7 +217,7 @@ func TestReadTimestampBelowMinWTS(t *testing.T) {
 	d := NewDomain(3, Options{})
 	for i := 0; i < 100; i++ {
 		for id := 0; id < 3; id++ {
-			d.NewWriteTimestamp(id)
+			d.NewWriteTimestamp(id, d.Now())
 		}
 	}
 	d.UpdateMins()
@@ -196,8 +239,8 @@ func TestUpdateMinsMonotonic(t *testing.T) {
 	d := NewDomain(2, Options{})
 	prevW, prevR := d.UpdateMins()
 	for i := 0; i < 1000; i++ {
-		d.NewWriteTimestamp(0)
-		d.NewWriteTimestamp(1)
+		d.NewWriteTimestamp(0, d.Now())
+		d.NewWriteTimestamp(1, d.Now())
 		d.RefreshRead(0)
 		d.RefreshRead(1)
 		w, r := d.UpdateMins()
@@ -210,23 +253,14 @@ func TestUpdateMinsMonotonic(t *testing.T) {
 
 func TestAdvanceForCausality(t *testing.T) {
 	d := NewDomain(2, Options{})
-	remote := d.NewWriteTimestamp(1)
+	remote := d.NewWriteTimestamp(1, d.Now())
 	// Worker 1 races far ahead.
 	d.workers[1].clock.Store(uint64(time.Hour))
-	remote = d.NewWriteTimestamp(1)
+	remote = d.NewWriteTimestamp(1, d.Now())
 	d.AdvanceForCausality(0, remote)
-	local := d.NewWriteTimestamp(0)
+	local := d.NewWriteTimestamp(0, d.Now())
 	if local <= remote {
 		t.Fatalf("causal timestamp %v not after %v", local, remote)
-	}
-}
-
-func TestRefreshIdleAdvancesWTS(t *testing.T) {
-	d := NewDomain(2, Options{})
-	before := d.WTS(0)
-	d.RefreshIdle(0)
-	if d.WTS(0) <= before {
-		t.Fatal("idle refresh did not advance wts")
 	}
 }
 

@@ -20,14 +20,14 @@ func TestConcurrentSyncAndAllocation(t *testing.T) {
 			defer wg.Done()
 			var prev Timestamp
 			for i := 0; i < 20000; i++ {
-				ts := d.NewWriteTimestamp(id)
+				ts := d.NewWriteTimestamp(id, d.Now())
 				if ts <= prev {
 					t.Errorf("worker %d: %v not after %v", id, ts, prev)
 					return
 				}
 				prev = ts
 				if i%64 == 0 {
-					d.MaybeSync(id)
+					d.MaybeSync(id, d.Now())
 					d.RefreshRead(id)
 				}
 				if id == 0 && i%128 == 0 {
@@ -75,9 +75,9 @@ func TestWatermarkMonotoneUnderRace(t *testing.T) {
 					return
 				default:
 				}
-				d.NewWriteTimestamp(id)
+				d.NewWriteTimestamp(id, d.Now())
 				if i%32 == 0 {
-					d.MaybeSync(id)
+					d.MaybeSync(id, d.Now())
 					d.RefreshRead(id)
 				}
 			}
@@ -111,17 +111,17 @@ func TestWatermarkMonotoneUnderRace(t *testing.T) {
 func TestBoostExceedsResidualSkew(t *testing.T) {
 	d := NewDomain(2, Options{Boost: 10 * time.Millisecond, SyncInterval: time.Nanosecond})
 	// Peer allocates, we sync, then we get boosted.
-	peer := d.NewWriteTimestamp(1)
+	peer := d.NewWriteTimestamp(1, d.Now())
 	time.Sleep(time.Microsecond)
-	d.MaybeSync(0)
+	d.MaybeSync(0, d.Now())
 	d.OnAbort(0)
-	boosted := d.NewWriteTimestamp(0)
+	boosted := d.NewWriteTimestamp(0, d.Now())
 	if boosted.ClockValue() <= peer.ClockValue() {
 		t.Fatalf("boosted %v not ahead of peer %v", boosted, peer)
 	}
 	// And it exceeds the peer's next few natural allocations.
 	for i := 0; i < 3; i++ {
-		if p := d.NewWriteTimestamp(1); p.ClockValue() > boosted.ClockValue() {
+		if p := d.NewWriteTimestamp(1, d.Now()); p.ClockValue() > boosted.ClockValue() {
 			t.Fatalf("peer %v overtook boost %v immediately", p, boosted)
 		}
 	}
@@ -134,7 +134,7 @@ func TestAdvanceAllPast(t *testing.T) {
 	target := Compose(1<<40, 3)
 	d.AdvanceAllPast(target)
 	for id := 0; id < 4; id++ {
-		if ts := d.NewWriteTimestamp(id); ts <= target {
+		if ts := d.NewWriteTimestamp(id, d.Now()); ts <= target {
 			t.Fatalf("worker %d ts %v not past %v", id, ts, target)
 		}
 	}

@@ -30,7 +30,7 @@ type regulator struct {
 	step   float64 // ns
 
 	// Leader-only hill-climbing state.
-	lastUpdate  time.Time
+	lastUpdate  int64 // reading of the last step; 0 before the first
 	lastCommits uint64
 	prevTput    float64
 	prevMaxNs   float64
@@ -54,16 +54,16 @@ func (r *regulator) max() time.Duration { return time.Duration(r.maxNs.Load()) }
 // between the second-to-last and last periods: positive → increase the
 // maximum backoff by one step, negative → decrease it, zero or undefined →
 // move in a random direction (§3.9).
-func (r *regulator) maybeAdjust(now time.Time, commits uint64, rng *rand.Rand) {
+func (r *regulator) maybeAdjust(now int64, commits uint64, rng *rand.Rand) {
 	if r.fixed {
 		return
 	}
-	if r.lastUpdate.IsZero() {
+	if r.lastUpdate == 0 {
 		r.lastUpdate = now
 		r.lastCommits = commits
 		return
 	}
-	dt := now.Sub(r.lastUpdate)
+	dt := time.Duration(now - r.lastUpdate)
 	if dt < r.period {
 		return
 	}
@@ -101,16 +101,39 @@ func (r *regulator) maybeAdjust(now time.Time, commits uint64, rng *rand.Rand) {
 	r.lastCommits = commits
 }
 
-// backoff sleeps for a random duration in [0, max] after an abort. Short
-// backoffs busy-yield on the monotonic clock rather than calling
-// time.Sleep, whose scheduler granularity would distort microsecond-scale
-// backoff (and would stall the single-CPU testbed).
-func (w *Worker) backoff() {
+// backoff waits for a random duration in [0, max] after an abort and returns
+// a reading taken once the wait is over, for the retry to begin at. Short
+// backoffs busy-yield on the monotonic clock rather than calling time.Sleep,
+// whose scheduler granularity would distort microsecond-scale backoff (and
+// would stall the single-CPU testbed).
+func (w *Worker) backoff() int64 {
 	w.stats.incBackoff()
+	c := w.eng.clock
+	d := w.backoffDuration()
+	if d == 0 {
+		runtime.Gosched()
+		return c.Now()
+	}
+	w.stats.addAbortTime(d)
+	if tr := w.tr; tr != nil && tr.Enabled() {
+		tr.Record(trace.EvBackoff, time.Now().UnixNano(), uint64(d), 0, 0)
+	}
+	if d > 2*time.Millisecond {
+		time.Sleep(d)
+		return c.Now()
+	}
+	now := c.Now()
+	for deadline := now + int64(d); now < deadline; now = c.Now() {
+		runtime.Gosched()
+	}
+	return now
+}
+
+// backoffDuration draws this abort's backoff; 0 means retry after one yield.
+func (w *Worker) backoffDuration() time.Duration {
 	max := w.eng.reg.max()
 	if max <= 0 {
-		runtime.Gosched()
-		return
+		return 0
 	}
 	if opts := &w.eng.opts; !opts.NoHeatTracking && !opts.NoHeatBackoff {
 		// Heat-weighted contention regulation: scale this abort's backoff
@@ -125,33 +148,12 @@ func (w *Worker) backoff() {
 			h = w.heat.get(k)
 		}
 		if hot := uint32(opts.HeatHotThreshold); h < hot {
-			if h == 0 {
-				runtime.Gosched()
-				return
-			}
 			max = time.Duration(uint64(max) * uint64(h) / uint64(hot))
 			if max <= 0 {
-				runtime.Gosched()
-				return
+				return 0
 			}
 			w.stats.incHeatScaledBackoff()
 		}
 	}
-	d := time.Duration(w.rng.Int63n(int64(max) + 1))
-	if d == 0 {
-		runtime.Gosched()
-		return
-	}
-	w.stats.addAbortTime(d)
-	if tr := w.tr; tr != nil && tr.Enabled() {
-		tr.Record(trace.EvBackoff, time.Now().UnixNano(), uint64(d), 0, 0)
-	}
-	if d > 2*time.Millisecond {
-		time.Sleep(d)
-		return
-	}
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		runtime.Gosched()
-	}
+	return time.Duration(w.rng.Int63n(int64(max) + 1))
 }

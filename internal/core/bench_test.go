@@ -51,6 +51,30 @@ func benchSetup(tb testing.TB, n int) (*Engine, *Table, *Worker) {
 	return e, t, w
 }
 
+// BenchmarkRunEmpty and BenchmarkRunReadOnlyEmpty time the transaction
+// envelope alone (docs/PERFORMANCE.md "Transaction envelope"): begin, an
+// empty body, commit, accounting and maintenance, with no record access.
+func BenchmarkRunEmpty(b *testing.B) {
+	w := NewEngine(DefaultOptions(1)).Worker(0)
+	benchEnvelope(b, w.Run)
+}
+
+func BenchmarkRunReadOnlyEmpty(b *testing.B) {
+	w := NewEngine(DefaultOptions(1)).Worker(0)
+	benchEnvelope(b, w.RunRO)
+}
+
+func benchEnvelope(b *testing.B, run func(func(*Txn) error) error) {
+	fn := func(*Txn) error { return nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := run(fn); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTxnRead(b *testing.B) {
 	_, tbl, w := benchSetup(b, 16)
 	fn := func(tx *Txn) error {

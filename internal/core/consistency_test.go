@@ -49,7 +49,7 @@ func TestExternalConsistency(t *testing.T) {
 	// External consistency: min_wts has passed the commit timestamp, so any
 	// new transaction on any worker gets a later timestamp.
 	for id := 0; id < 3; id++ {
-		ts := e.clock.NewWriteTimestamp(id)
+		ts := e.clock.NewWriteTimestamp(id, e.clock.Now())
 		if ts <= commitTS {
 			t.Fatalf("worker %d began at %v, not after externally consistent commit %v", id, ts, commitTS)
 		}
@@ -62,10 +62,10 @@ func TestCausalObserve(t *testing.T) {
 	e := newTestEngine(2, nil)
 	var remote clock.Timestamp
 	for i := 0; i < 10; i++ {
-		remote = e.clock.NewWriteTimestamp(1)
+		remote = e.clock.NewWriteTimestamp(1, e.clock.Now())
 	}
 	e.Worker(0).ObserveTimestamp(remote)
-	local := e.clock.NewWriteTimestamp(0)
+	local := e.clock.NewWriteTimestamp(0, e.clock.Now())
 	if local <= remote {
 		t.Fatalf("causal timestamp %v not after observed %v", local, remote)
 	}

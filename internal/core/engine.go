@@ -430,8 +430,9 @@ type Worker struct {
 	// slice capacity) so steady-state epoch turnover does not allocate.
 	limboSpare []limboBatch
 	// gcScratch is collect's reusable detached-version staging buffer.
-	gcScratch   []limboEntry
-	lastQuiesce time.Time
+	gcScratch []limboEntry
+	// lastQuiesce is the reading of the last quiescence declaration.
+	lastQuiesce int64
 
 	// consecutiveCommits drives adaptive omission of write-set sorting and
 	// the early consistency check (§3.5).
@@ -463,19 +464,28 @@ func (w *Worker) ID() int { return w.id }
 // goroutine while the worker runs.
 func (w *Worker) Stats() Stats { return w.stats.snapshot() }
 
+// Txn returns the worker's one reusable transaction, the *Txn that every
+// Begin and Run* hands out; it is live only between a begin and its finish.
+func (w *Worker) Txn() *Txn { return &w.txn }
+
 // Begin starts a read-write transaction.
-func (w *Worker) Begin() *Txn {
-	t := &w.txn
-	t.begin(w.eng.clock.NewWriteTimestamp(w.id), false)
-	return t
-}
+func (w *Worker) Begin() *Txn { return w.begin(w.eng.clock.Now(), false) }
 
 // BeginRO starts a read-only transaction at thread.rts. Read-only
 // transactions never track or validate their read set and always see a
 // consistent snapshot (§3.1).
-func (w *Worker) BeginRO() *Txn {
+func (w *Worker) BeginRO() *Txn { return w.begin(w.eng.clock.Now(), true) }
+
+// begin starts a transaction at reading now.
+//
+//cicada:noalloc
+func (w *Worker) begin(now int64, readOnly bool) *Txn {
 	t := &w.txn
-	t.begin(w.eng.clock.ReadTimestamp(w.id), true)
+	if readOnly {
+		t.begin(w.eng.clock.ReadTimestamp(w.id), now, true)
+	} else {
+		t.begin(w.eng.clock.NewWriteTimestamp(w.id, now), now, false)
+	}
 	return t
 }
 
@@ -484,31 +494,7 @@ func (w *Worker) BeginRO() *Txn {
 // the transaction and is returned.
 //
 //cicada:noalloc
-func (w *Worker) Run(fn func(t *Txn) error) error {
-	for {
-		start := time.Now()
-		t := w.Begin()
-		err := fn(t)
-		if err == nil {
-			err = t.Commit()
-		} else {
-			t.Abort()
-		}
-		w.stats.addBusyTime(time.Since(start))
-		if err == nil {
-			w.Maintain()
-			return nil
-		}
-		if !errors.Is(err, ErrAborted) {
-			w.stats.incUserAbort()
-			w.Maintain()
-			return err
-		}
-		w.stats.addAbortTime(time.Since(start))
-		w.backoff()
-		w.Maintain()
-	}
-}
+func (w *Worker) Run(fn func(t *Txn) error) error { return w.run(fn, false, 0, false) }
 
 // AbortedError is ErrAborted plus the final attempt's abort-taxonomy
 // reason; RunLimited returns it when a retry budget is exhausted.
@@ -533,37 +519,10 @@ func (e *AbortedError) Is(target error) bool { return target == ErrAborted }
 // map the abort taxonomy onto wire error codes. attempts ≤ 0 behaves
 // exactly like Run. The exhausted-budget error allocates; that is the cold
 // give-up path, never the steady-state commit path.
+//
+//cicada:noalloc
 func (w *Worker) RunLimited(fn func(t *Txn) error, attempts int) error {
-	if attempts <= 0 {
-		return w.Run(fn)
-	}
-	for tries := 1; ; tries++ {
-		start := time.Now()
-		t := w.Begin()
-		err := fn(t)
-		if err == nil {
-			err = t.Commit()
-		} else {
-			t.Abort()
-		}
-		w.stats.addBusyTime(time.Since(start))
-		if err == nil {
-			w.Maintain()
-			return nil
-		}
-		if !errors.Is(err, ErrAborted) {
-			w.stats.incUserAbort()
-			w.Maintain()
-			return err
-		}
-		w.stats.addAbortTime(time.Since(start))
-		if tries >= attempts {
-			w.Maintain()
-			return &AbortedError{Reason: t.lastCC}
-		}
-		w.backoff()
-		w.Maintain()
-	}
+	return w.run(fn, false, attempts, false)
 }
 
 // RunExternal is Run with external consistency (§3.1): it does not return
@@ -575,10 +534,30 @@ func (w *Worker) RunLimited(fn func(t *Txn) error, attempts int) error {
 // maintenance (Run/RunRO/Idle) or min_wts cannot advance.
 //
 //cicada:noalloc
-func (w *Worker) RunExternal(fn func(t *Txn) error) error {
-	for {
-		start := time.Now()
-		t := w.Begin()
+func (w *Worker) RunExternal(fn func(t *Txn) error) error { return w.run(fn, false, 0, true) }
+
+// RunRO executes fn inside a read-only transaction. Read-only transactions
+// cannot abort due to conflicts and are never retried: any error from fn,
+// ErrAborted included, rolls back and is returned as is.
+//
+//cicada:noalloc
+func (w *Worker) RunRO(fn func(t *Txn) error) error { return w.run(fn, true, 0, false) }
+
+// run is the transaction envelope: the one begin / fn / commit-or-abort /
+// account / maintain loop behind Run, RunLimited, RunExternal and RunRO.
+// attempts > 0 bounds the tries; external waits for min_wts to pass the
+// commit. It reads the clock twice per attempt (docs/PERFORMANCE.md
+// "Transaction envelope"): the begin reading is the write timestamp's clock
+// increment and the start of busy time, the end reading closes busy and abort
+// time and drives maintenance. A retry begins at the reading backoff returns,
+// never at one taken before the wait.
+//
+//cicada:noalloc
+func (w *Worker) run(fn func(t *Txn) error, readOnly bool, attempts int, external bool) error {
+	c := w.eng.clock
+	now := c.Now()
+	for tries := 1; ; tries++ {
+		t := w.begin(now, readOnly)
 		ts := t.ts
 		err := fn(t)
 		if err == nil {
@@ -586,22 +565,27 @@ func (w *Worker) RunExternal(fn func(t *Txn) error) error {
 		} else {
 			t.Abort()
 		}
-		w.stats.addBusyTime(time.Since(start))
-		if err == nil {
-			w.Maintain()
-			for w.eng.clock.MinWTS() <= ts {
-				w.Idle()
+		end := c.Now()
+		w.stats.addBusyTime(time.Duration(end - now))
+		// ErrAborted is a conflict, retried unless the transaction is
+		// read-only; any other error is the application's rollback.
+		conflict := errors.Is(err, ErrAborted)
+		if conflict && !readOnly {
+			w.stats.addAbortTime(time.Duration(end - now))
+			if tries != attempts {
+				now = w.backoff()
+				w.maintain(now)
+				continue
 			}
-			return nil
-		}
-		if !errors.Is(err, ErrAborted) {
+			err = &AbortedError{Reason: t.lastCC}
+		} else if err != nil && !conflict {
 			w.stats.incUserAbort()
-			w.Maintain()
-			return err
 		}
-		w.stats.addAbortTime(time.Since(start))
-		w.backoff()
-		w.Maintain()
+		w.maintain(end)
+		for external && err == nil && c.MinWTS() <= ts {
+			w.Idle()
+		}
+		return err
 	}
 }
 
@@ -612,24 +596,6 @@ func (w *Worker) RunExternal(fn func(t *Txn) error) error {
 // one-sided synchronization corrects the drift.
 func (w *Worker) ObserveTimestamp(ts clock.Timestamp) {
 	w.eng.clock.AdvanceForCausality(w.id, ts)
-}
-
-// RunRO executes fn inside a read-only transaction. Read-only transactions
-// cannot abort due to conflicts.
-//
-//cicada:noalloc
-func (w *Worker) RunRO(fn func(t *Txn) error) error {
-	start := time.Now()
-	t := w.BeginRO()
-	err := fn(t)
-	if err == nil {
-		err = t.Commit()
-	} else {
-		t.Abort()
-	}
-	w.stats.addBusyTime(time.Since(start))
-	w.Maintain()
-	return err
 }
 
 // SnapshotTS returns the timestamp a read-only transaction would run at now;

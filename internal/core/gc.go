@@ -63,10 +63,12 @@ func (w *Worker) enqueueGC(t *Txn) {
 // backoff hill climbing), garbage collection, limbo processing, and
 // one-sided clock synchronization. Workers call it between transactions;
 // Worker.Run calls it automatically.
-func (w *Worker) Maintain() {
+func (w *Worker) Maintain() { w.maintain(w.eng.clock.Now()) }
+
+// maintain is Maintain at a reading the caller already took.
+func (w *Worker) maintain(now int64) {
 	e := w.eng
-	now := time.Now()
-	if now.Sub(w.lastQuiesce) >= e.opts.GCInterval {
+	if now-w.lastQuiesce >= int64(e.opts.GCInterval) {
 		w.lastQuiesce = now
 		e.quiesce[w.id].Store(true)
 		e.clock.RefreshRead(w.id)
@@ -84,32 +86,33 @@ func (w *Worker) Maintain() {
 		tel := w.tel
 		traceOn := w.tr != nil && w.tr.Enabled()
 		if tel != nil || traceOn {
-			d := time.Since(now)
+			d := time.Duration(e.clock.Now() - now)
 			depth := len(w.gcQueue) - w.gcHead
 			if tel != nil {
 				tel.gcDepth.Set(int64(depth))
 				tel.phase[phaseQuiesce].ObserveDuration(d)
 			}
 			if traceOn {
-				w.tr.Record(trace.EvGCPass, now.UnixNano(), nonNegNs(d), uint64(depth), 0)
+				w.tr.Record(trace.EvGCPass, e.clock.Time(now).UnixNano(), nonNegNs(d), uint64(depth), 0)
 			}
 		}
 	}
-	e.clock.MaybeSync(w.id)
+	e.clock.MaybeSync(w.id, now)
 }
 
 // Idle keeps an idle worker participating in maintenance so it does not
 // stall min_wts, min_rts, or the epoch counter.
 func (w *Worker) Idle() {
-	w.eng.clock.RefreshIdle(w.id)
-	w.Maintain()
+	now := w.eng.clock.Now()
+	w.eng.clock.NewWriteTimestamp(w.id, now) // advance wts without a transaction
+	w.maintain(now)
 }
 
 // leaderMaintain is worker 0's extra duty: after observing a full
 // quiescence round it resets the flags, advances the epoch, and updates
 // min_wts/min_rts; every BackoffUpdatePeriod it runs the contention
 // regulator's hill-climbing step (§3.9).
-func (w *Worker) leaderMaintain(now time.Time) {
+func (w *Worker) leaderMaintain(now int64) {
 	e := w.eng
 	all := true
 	for i := range e.quiesce {

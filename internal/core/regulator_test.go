@@ -26,10 +26,10 @@ func TestRegulatorClimbsTowardOptimum(t *testing.T) {
 		r.init(&opts)
 		r.maxNs.Store(start)
 		rng := rand.New(rand.NewSource(1))
-		now := time.Now()
+		now := int64(0)
 		commits := uint64(0)
 		for i := 0; i < 3000; i++ {
-			now = now.Add(time.Millisecond)
+			now += int64(time.Millisecond)
 			commits += uint64(curve(float64(r.maxNs.Load())) / 1000)
 			r.maybeAdjust(now, commits, rng)
 		}
@@ -46,9 +46,9 @@ func TestRegulatorFixedModeNeverMoves(t *testing.T) {
 	opts.FixedMaxBackoff = 42 * time.Microsecond
 	r.init(&opts)
 	rng := rand.New(rand.NewSource(1))
-	now := time.Now()
+	now := int64(0)
 	for i := 0; i < 100; i++ {
-		now = now.Add(10 * time.Millisecond)
+		now += int64(10 * time.Millisecond)
 		r.maybeAdjust(now, uint64(i*1000), rng)
 	}
 	if got := r.max(); got != 42*time.Microsecond {
@@ -63,9 +63,9 @@ func TestRegulatorClampsAtZeroAndCeiling(t *testing.T) {
 	opts.BackoffUpdatePeriod = time.Microsecond
 	r.init(&opts)
 	rng := rand.New(rand.NewSource(2))
-	now := time.Now()
+	now := int64(0)
 	for i := 0; i < 10_000; i++ {
-		now = now.Add(time.Millisecond)
+		now += int64(time.Millisecond)
 		r.maybeAdjust(now, uint64(i), rng) // flat throughput: random walk
 		if m := r.max(); m < 0 || m > maxBackoffCeiling {
 			t.Fatalf("backoff out of bounds: %v", m)
@@ -109,11 +109,11 @@ func TestRegulatorCeilingUnderPositiveGradient(t *testing.T) {
 	opts.BackoffUpdatePeriod = time.Microsecond
 	r.init(&opts)
 	rng := rand.New(rand.NewSource(5))
-	now := time.Now()
+	now := int64(0)
 	commits := uint64(0)
 	hitCeiling := false
 	for i := 0; i < 2000; i++ {
-		now = now.Add(time.Millisecond)
+		now += int64(time.Millisecond)
 		// Throughput strictly increasing in the current maximum: the
 		// gradient stays positive whenever the maximum moved up.
 		commits += uint64(r.maxNs.Load()/1000) + 1

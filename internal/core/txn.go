@@ -56,8 +56,8 @@ type Txn struct {
 	// telStart / telValStart mark the begin and validation-entry times for
 	// phase latency histograms, the flight recorder, and trace events. Only
 	// set when the worker has telemetry attached (worker.tel != nil) or the
-	// transaction is trace-sampled, so a disabled engine makes no extra
-	// time.Now calls.
+	// transaction is trace-sampled; telStart is the begin reading the
+	// envelope already took, so a disabled engine reads no further clocks.
 	telStart    time.Time
 	telValStart time.Time
 	// sampled marks a transaction chosen by trace sampling: it emits
@@ -128,8 +128,11 @@ func ownKey(tbl TableID, rid storage.RecordID) uint64 {
 	return uint64(tbl)<<48 | uint64(rid)&0xffffffffffff
 }
 
+// begin resets the slot for a transaction with timestamp ts that starts at
+// reading now.
+//
 //cicada:noalloc
-func (t *Txn) begin(ts clock.Timestamp, readOnly bool) {
+func (t *Txn) begin(ts clock.Timestamp, now int64, readOnly bool) {
 	t.ts = ts
 	t.readOnly = readOnly
 	t.active = true
@@ -141,7 +144,7 @@ func (t *Txn) begin(ts clock.Timestamp, readOnly bool) {
 	tr := t.worker.tr
 	t.sampled = tr != nil && tr.Enabled() && tr.SampleTxn()
 	if t.worker.tel != nil || t.sampled {
-		t.telStart = time.Now()
+		t.telStart = t.eng.clock.Time(now)
 		t.telValStart = time.Time{}
 	}
 	if t.sampled {

@@ -611,9 +611,9 @@ func TestStalledPeer(t *testing.T) {
 }
 
 // TestServerRoundTripAllocBudget pins the whole TCP rung — client build,
-// both socket directions, admission, lease, execution, response encode —
-// at the public API's one allocation per transaction (the &Txn{} wrapper in
-// cicada.Worker.Run*), counted process-wide.
+// both socket directions, admission, lease, execution through
+// cicada.Worker.RunLimited, response encode — at zero allocations per
+// transaction, counted process-wide.
 func TestServerRoundTripAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; budgets enforced in non-race builds")
@@ -633,8 +633,8 @@ func TestServerRoundTripAllocBudget(t *testing.T) {
 	for i := 0; i < 100; i++ { // inserts, buffer growth, pool fill
 		roundTrip()
 	}
-	if got := testing.AllocsPerRun(2000, roundTrip); got > 1 {
-		t.Fatalf("server round trip allocates %.1f/txn, budget 1", got)
+	if got := testing.AllocsPerRun(2000, roundTrip); got > 0 {
+		t.Fatalf("server round trip allocates %.1f/txn, budget 0", got)
 	}
 }
 
